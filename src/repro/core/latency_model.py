@@ -123,6 +123,9 @@ class LatencyModel:
         self.cal = calibration
         self.phy = phy
         self.l2_bytes = l2_bytes
+        # request_timing memo: every input above is a frozen value that
+        # nothing mutates, so a timing is a pure function of its args.
+        self._timings: dict[tuple, RequestTiming] = {}
 
     # --- stall helpers -------------------------------------------------------
 
@@ -209,7 +212,21 @@ class LatencyModel:
         serving reads over UDP, replacing the kernel TCP cost with the
         much thinner UDP path — the software-only ablation of the
         network-stack bottleneck.
+
+        Memoised per model on ``(verb, value_bytes, key_bytes,
+        transport)``; the returned :class:`RequestTiming` is frozen, so
+        callers share it.
         """
+        memo_key = (verb, value_bytes, key_bytes, transport)
+        timing = self._timings.get(memo_key)
+        if timing is None:
+            timing = self._request_timing(verb, value_bytes, key_bytes, transport)
+            self._timings[memo_key] = timing
+        return timing
+
+    def _request_timing(
+        self, verb: str, value_bytes: int, key_bytes: int | None, transport: str
+    ) -> RequestTiming:
         verb = verb.upper()
         if verb not in ("GET", "PUT"):
             raise ConfigurationError(f"unknown verb {verb!r}; expected GET or PUT")

@@ -274,6 +274,31 @@ def render_response(response: Response) -> bytes:
     return bytes(out)
 
 
+#: Bytes of the reply to a single-key GET that misses: the bare ``END``.
+GET_MISS_LENGTH = len(b"END" + _CRLF)
+
+
+def get_hit_length(key_length: int, flags: int, value_length: int) -> int:
+    """Bytes of :func:`render_response`'s reply to a single-key GET hit.
+
+    ``VALUE <key> <flags> <bytes>\\r\\n<data>\\r\\nEND\\r\\n``, counted
+    without rendering it, for callers that only need the reply size.
+    """
+    return (
+        17
+        + key_length
+        + value_length
+        + len(str(flags))
+        + len(str(value_length))
+    )
+
+
+def storage_reply_length(result) -> int:
+    """Bytes of the status-line reply to a storage command that ended in
+    ``result`` (a :class:`~repro.kvstore.store.StoreResult`)."""
+    return len(result.value) + 2
+
+
 def parse_response(blob: bytes) -> Response:
     """Parse a complete server response (client side).
 

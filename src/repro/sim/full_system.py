@@ -1,8 +1,9 @@
 """Full-system co-simulation: functional Memcached + timing model + DES.
 
 This is the closest analogue in the library to the paper's gem5 runs.  A
-simulated 3D stack runs one *real* :class:`MemcachedServer` per core
-(actual hash table, slab allocator, LRU, protocol bytes); a Poisson
+simulated 3D stack runs one *real* :class:`MemcachedServer` store per
+core (actual hash table, slab allocator, LRU; reply sizes from the
+protocol's framing, see :meth:`FullSystemStack.serve_op`); a Poisson
 client drives it with a workload; the NIC MAC routes each request to the
 core that owns its key (client-side consistent hashing, as production
 Memcached shards); and the latency model charges each request the service
@@ -16,16 +17,14 @@ finite per-core memory, queueing at each core, and MAC buffer drops.
 from __future__ import annotations
 
 import math
-import warnings
 from contextlib import nullcontext
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 
 from repro.core.latency_model import MemorySpec, RequestTiming
 from repro.core.stack import StackConfig
 from repro.core.thermal import ThermalReport
 from repro.errors import ConfigurationError, SimulationError
 from repro.faults.injector import FaultInjector
-from repro.faults.resilience import ResiliencePolicy
 from repro.faults.schedule import FaultSchedule
 from repro.flashstore.compaction import (
     TieredFlashStore,
@@ -34,12 +33,16 @@ from repro.flashstore.compaction import (
 from repro.kvstore.batching import FLUSH_LINGER, FLUSH_SIZE, MAX_BATCH_OPS
 from repro.kvstore.items import ITEM_OVERHEAD_BYTES
 from repro.kvstore.consistent_hash import ConsistentHashRing
+from repro.kvstore.protocol import (
+    GET_MISS_LENGTH,
+    get_hit_length,
+    storage_reply_length,
+)
 from repro.kvstore.server_loop import MemcachedServer
-from repro.kvstore.store import KVStore
+from repro.kvstore.store import KVStore, StoreResult
 from repro.network.packets import request_wire_payloads, wire_bytes_for_payload
 from repro.power.dynamic import DynamicPowerModel
 from repro.replication.antientropy import AntiEntropySweeper
-from repro.replication.config import ReplicationConfig
 from repro.replication.handoff import HintQueue
 from repro.replication.placement import ReplicaPlacement
 from repro.sim.events import Simulator
@@ -54,7 +57,6 @@ from repro.sim.run_options import RunOptions
 from repro.telemetry.critical_path import compute_trace_digest
 from repro.telemetry.energy import EnergyMeter
 from repro.telemetry.metrics import StreamingHistogram
-from repro.telemetry.profiler import SimProfiler
 from repro.telemetry.slo import SloMonitor
 from repro.telemetry.timeseries import TimeSeriesRecorder, WindowedSeries
 from repro.telemetry.tracing import NULL_TELEMETRY, TelemetrySession
@@ -466,7 +468,11 @@ class FullSystemStack:
             MemcachedServer(KVStore(memory_per_core_bytes))
             for _ in range(stack.cores)
         ]
-        self.connections = [server.connect() for server in self.servers]
+        self._stores = [server.store for server in self.servers]
+        # One shared PUT payload per value size, and the per-op-shape
+        # energy activity table (see serve_op / _op_activity).
+        self._payloads: dict[int, bytes] = {}
+        self._activity: dict[tuple[str, int], tuple] = {}
         # Client-side sharding over the stack's cores, each a "node"
         # listening on its own TCP port behind the shared MAC (§4.1.4).
         self.ring = ConsistentHashRing(
@@ -494,23 +500,14 @@ class FullSystemStack:
         return index
 
     def run(
-        self,
-        workload: "WorkloadSpec",
-        options: RunOptions | float | None = None,
-        duration_s: float | None = None,
-        **legacy,
+        self, workload: "WorkloadSpec", options: RunOptions
     ) -> FullSystemResults:
         """Drive the stack with ``workload`` under ``options``.
 
-        The primary signature is ``run(workload, RunOptions(...))`` —
-        one frozen, serialisable value object carrying the rate,
-        duration, fault/replication configuration, and any attached
-        instruments (see :class:`~repro.sim.run_options.RunOptions`).
-
-        The pre-``RunOptions`` keyword form
-        (``run(workload, offered_rate_hz=..., duration_s=..., ...)``)
-        still works but emits a :class:`DeprecationWarning`; it is a
-        thin shim that packs the keywords into a ``RunOptions``.
+        ``options`` is one frozen, serialisable value object carrying the
+        rate, duration, fault/replication configuration, and any
+        attached instruments (see
+        :class:`~repro.sim.run_options.RunOptions`).
 
         ``warmup_requests`` PUTs pre-populate the stores (zero simulated
         time) so GET hit rates reflect a warm cache.  ``telemetry``
@@ -586,40 +583,9 @@ class FullSystemStack:
         and attributes wall-clock to event types.  All three observe
         without perturbing the simulation.
         """
-        if isinstance(options, RunOptions):
-            if duration_s is not None or legacy:
-                raise ConfigurationError(
-                    "pass either a RunOptions value or legacy keyword "
-                    "arguments, not both"
-                )
-            return self._run(workload, options)
-        legacy_kwargs = dict(legacy)
-        if options is not None:
-            legacy_kwargs["offered_rate_hz"] = options
-        if duration_s is not None:
-            legacy_kwargs["duration_s"] = duration_s
-        warnings.warn(
-            "FullSystemStack.run(offered_rate_hz=..., duration_s=..., ...) "
-            "is deprecated; pass run(workload, RunOptions(...)) instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        try:
-            resolved = RunOptions(**legacy_kwargs)
-        except TypeError:
-            unknown = sorted(
-                set(legacy_kwargs) - {f.name for f in fields(RunOptions)}
-            )
-            raise ConfigurationError(
-                f"unsupported run() arguments {unknown}"
-            ) from None
-        return self._run(workload, resolved)
-
-    def _run(
-        self, workload: "WorkloadSpec", options: RunOptions
-    ) -> FullSystemResults:
         from repro.workloads.generator import WorkloadGenerator
 
+        serve_op = self.serve_op
         offered_rate_hz = options.offered_rate_hz
         duration_s = options.duration_s
         warmup_requests = options.warmup_requests
@@ -684,15 +650,17 @@ class FullSystemStack:
         if energy_meter is not None:
             energy_meter.install(sim, horizon_s=duration_s)
 
-        # Per-op activity charges for the energy meter.  The rule is
-        # "energy follows time": bytes/pages are charged wherever the
-        # latency model charges service time, with the same item framing
-        # (calibrated key length + overhead) the timing math uses.  Core
-        # busy energy needs no per-site hook — the FifoResource
-        # busy_observer charges it over exactly the busy intervals.
+        # Fixed item framing shared with the latency model: the
+        # calibrated default key length, not each request's actual key
+        # bytes, so tiered and baseline runs charge the same item
+        # footprint.
+        item_overhead = ITEM_OVERHEAD_BYTES + self.model.cal.default_key_bytes
+
+        # Per-op activity charges for the energy meter, read from the
+        # op-shape table (see _op_activity).  Core busy energy needs no
+        # per-site hook — the FifoResource busy_observer charges it over
+        # exactly the busy intervals.
         if energy_meter is not None:
-            _energy_key_bytes = self.model.cal.default_key_bytes
-            _energy_item_overhead = ITEM_OVERHEAD_BYTES + _energy_key_bytes
             _energy_flash = self.stack.flash
 
             def charge_op_energy(
@@ -702,46 +670,36 @@ class FullSystemStack:
                 tiered_cost=None,
                 wire: bool = True,
             ) -> None:
-                item_bytes = _energy_item_overhead + served_bytes
-                # memory_bandwidth() moves 2x the item per op (read +
-                # response copy, or lookup + store).
-                energy_meter.charge_memory_bytes(t, 2.0 * item_bytes)
+                mem_bytes, wire_bytes, reads, programs, erases = (
+                    self._op_activity(verb, served_bytes)
+                )
+                energy_meter.charge_memory_bytes(t, mem_bytes)
                 if wire:
-                    rw = request_wire_payloads(
-                        verb, served_bytes, key_bytes=_energy_key_bytes
-                    )
-                    energy_meter.charge_nic_bytes(
-                        t,
-                        wire_bytes_for_payload(rw.request_payload)
-                        + wire_bytes_for_payload(rw.response_payload),
-                    )
-                if _energy_flash is not None:
-                    if tiered_cost is not None:
-                        # Tiered store: reads cost what the tier probe
-                        # actually touched; log-structured writes
-                        # amortise to the item's share of a page, and
-                        # erases to that share of a block.
-                        if verb == "GET":
-                            energy_meter.charge_flash_reads(
-                                t, float(tiered_cost.pages_read)
-                            )
-                        else:
-                            pages = item_bytes / _energy_flash.page_bytes
-                            energy_meter.charge_flash_programs(t, pages)
-                            energy_meter.charge_flash_erases(
-                                t, pages / _energy_flash.pages_per_block
-                            )
+                    energy_meter.charge_nic_bytes(t, wire_bytes)
+                if _energy_flash is None:
+                    return
+                if tiered_cost is not None:
+                    # Tiered store: reads cost what the tier probe
+                    # actually touched; log-structured writes amortise
+                    # to the item's share of a page, and erases to that
+                    # share of a block.
+                    if verb == "GET":
+                        energy_meter.charge_flash_reads(
+                            t, float(tiered_cost.pages_read)
+                        )
                     else:
-                        # Baseline FTL-calibrated path: whole pages, as
-                        # the latency model stalls for them.
-                        pages = float(_energy_flash.pages_for(item_bytes))
-                        if verb == "GET":
-                            energy_meter.charge_flash_reads(t, pages)
-                        else:
-                            energy_meter.charge_flash_programs(t, pages)
-                            energy_meter.charge_flash_erases(
-                                t, pages / _energy_flash.pages_per_block
-                            )
+                        pages = (
+                            item_overhead + served_bytes
+                        ) / _energy_flash.page_bytes
+                        energy_meter.charge_flash_programs(t, pages)
+                        energy_meter.charge_flash_erases(
+                            t, pages / _energy_flash.pages_per_block
+                        )
+                elif verb == "GET":
+                    energy_meter.charge_flash_reads(t, reads)
+                else:
+                    energy_meter.charge_flash_programs(t, programs)
+                    energy_meter.charge_flash_erases(t, erases)
 
         else:
             charge_op_energy = None
@@ -848,13 +806,6 @@ class FullSystemStack:
             )
             compaction_busy = registry.histogram(
                 "background_busy_seconds", {"task": "compaction"}
-            )
-            # Fixed item framing shared with the latency model: the
-            # calibrated default key length, not each request's actual
-            # key bytes, so tiered and baseline runs charge the same
-            # item footprint.
-            item_overhead = (
-                ITEM_OVERHEAD_BYTES + self.model.cal.default_key_bytes
             )
 
             def charge_background(core_index: int, works, trace=None) -> None:
@@ -972,7 +923,7 @@ class FullSystemStack:
                     if hints:
                         replay_service = 0.0
                         for hint in hints:
-                            self._execute(hint.key, "PUT", hint.payload, index)
+                            serve_op(index, hint.key, "PUT", hint.payload)
                             service = self.model.request_timing(
                                 "PUT", hint.payload
                             ).total_s
@@ -1005,6 +956,33 @@ class FullSystemStack:
                 sim, horizon_s=duration_s,
                 on_crash=crash_core, on_restart=restart_core,
             )
+
+        def adjust_timing(timing: RequestTiming) -> RequestTiming:
+            """``timing`` under the live slowdowns: the injector's
+            memory-degradation factor stretches the memcached stage,
+            then thermal throttle feedback (the derated clock) stretches
+            the on-core stages (hash + memcached).  Wire time is
+            unaffected."""
+            if injector is not None:
+                factor = injector.service_factor(memory_kind)
+                if factor != 1.0:
+                    timing = RequestTiming(
+                        verb=timing.verb,
+                        value_bytes=timing.value_bytes,
+                        hash_s=timing.hash_s,
+                        memcached_s=timing.memcached_s * factor,
+                        network_s=timing.network_s,
+                    )
+            if energy_meter is not None and energy_meter.derate_factor != 1.0:
+                derate = energy_meter.derate_factor
+                timing = RequestTiming(
+                    verb=timing.verb,
+                    value_bytes=timing.value_bytes,
+                    hash_s=timing.hash_s / derate,
+                    memcached_s=timing.memcached_s / derate,
+                    network_s=timing.network_s,
+                )
+            return timing
 
         if replicated and repl.anti_entropy_interval_s is not None:
             fabric = _ReplicaFabric(
@@ -1123,8 +1101,8 @@ class FullSystemStack:
         ) -> None:
             arrival = state["arrival"]
             dispatched = sim.now
-            hit, response_len = self._execute(
-                request.key, request.verb, request.value_bytes, core_index
+            hit, response_len = serve_op(
+                core_index, request.key, request.verb, request.value_bytes
             )
             tiered = (
                 tiered_stores[core_index] if tiered_stores is not None else None
@@ -1155,12 +1133,12 @@ class FullSystemStack:
                         continue
                     if self.servers[peer_core].store.peek(request.key) is None:
                         continue
-                    hit, response_len = self._execute(
-                        request.key, "GET", request.value_bytes, peer_core
+                    hit, response_len = serve_op(
+                        peer_core, request.key, "GET", request.value_bytes
                     )
                     if hit:
-                        self._execute(
-                            request.key, "PUT", request.value_bytes, core_index
+                        serve_op(
+                            core_index, request.key, "PUT", request.value_bytes
                         )
                         results.read_repairs += 1
                         read_repairs_total.inc()
@@ -1193,11 +1171,11 @@ class FullSystemStack:
                     for fill_port in placement.replicas_for(request.key):
                         fill_core = int(fill_port) - _BASE_TCP_PORT
                         if fill_core not in down_cores:
-                            self._execute(
-                                request.key, "PUT", request.value_bytes, fill_core
+                            serve_op(
+                                fill_core, request.key, "PUT", request.value_bytes
                             )
                 else:
-                    self._execute(request.key, "PUT", request.value_bytes, core_index)
+                    serve_op(core_index, request.key, "PUT", request.value_bytes)
                     if tiered is not None:
                         # The refill lands in the tiers too (free, like
                         # the plain functional PUT), but any conversion
@@ -1221,28 +1199,7 @@ class FullSystemStack:
                 )
             else:
                 timing = self.model.request_timing(request.verb, served_bytes)
-            if injector is not None:
-                factor = injector.service_factor(memory_kind)
-                if factor != 1.0:
-                    timing = RequestTiming(
-                        verb=timing.verb,
-                        value_bytes=timing.value_bytes,
-                        hash_s=timing.hash_s,
-                        memcached_s=timing.memcached_s * factor,
-                        network_s=timing.network_s,
-                    )
-            if energy_meter is not None and energy_meter.derate_factor != 1.0:
-                # Thermal throttle feedback: the derated clock stretches
-                # the on-core stages (hash + memcached); the wire time
-                # is unaffected.
-                derate = energy_meter.derate_factor
-                timing = RequestTiming(
-                    verb=timing.verb,
-                    value_bytes=timing.value_bytes,
-                    hash_s=timing.hash_s / derate,
-                    memcached_s=timing.memcached_s / derate,
-                    network_s=timing.network_s,
-                )
+            timing = adjust_timing(timing)
             if charge_op_energy is not None:
                 charge_op_energy(sim.now, request.verb, served_bytes, tiered_cost)
             trace = state["trace"]
@@ -1624,29 +1581,12 @@ class FullSystemStack:
                     ),
                 )
                 return
-            _hit, response_len = self._execute(
-                request.key, "PUT", request.value_bytes, core_index
+            _hit, response_len = serve_op(
+                core_index, request.key, "PUT", request.value_bytes
             )
-            timing = self.model.request_timing("PUT", request.value_bytes)
-            if injector is not None:
-                factor = injector.service_factor(memory_kind)
-                if factor != 1.0:
-                    timing = RequestTiming(
-                        verb=timing.verb,
-                        value_bytes=timing.value_bytes,
-                        hash_s=timing.hash_s,
-                        memcached_s=timing.memcached_s * factor,
-                        network_s=timing.network_s,
-                    )
-            if energy_meter is not None and energy_meter.derate_factor != 1.0:
-                derate = energy_meter.derate_factor
-                timing = RequestTiming(
-                    verb=timing.verb,
-                    value_bytes=timing.value_bytes,
-                    hash_s=timing.hash_s / derate,
-                    memcached_s=timing.memcached_s / derate,
-                    network_s=timing.network_s,
-                )
+            timing = adjust_timing(
+                self.model.request_timing("PUT", request.value_bytes)
+            )
             if charge_op_energy is not None:
                 # Each physical copy moves over the wire and through
                 # memory like its own PUT.
@@ -1837,13 +1777,11 @@ class FullSystemStack:
             timing_ops = []
             for request, state in ops:
                 state["attempts"] = 1
-                hit, response_len = self._execute(
-                    request.key, request.verb, request.value_bytes, core_index
+                hit, response_len = serve_op(
+                    core_index, request.key, request.verb, request.value_bytes
                 )
                 if fill_on_miss and request.verb == "GET" and not hit:
-                    self._execute(
-                        request.key, "PUT", request.value_bytes, core_index
-                    )
+                    serve_op(core_index, request.key, "PUT", request.value_bytes)
                 served_bytes = (
                     response_len if request.verb == "GET" else request.value_bytes
                 )
@@ -1854,26 +1792,7 @@ class FullSystemStack:
                     charge_op_energy(sim.now, request.verb, served_bytes)
                 outcomes.append((request, state, hit, response_len, served_bytes))
                 timing_ops.append((request.verb, served_bytes))
-            timing = self.model.batch_timing(timing_ops)
-            if injector is not None:
-                factor = injector.service_factor(memory_kind)
-                if factor != 1.0:
-                    timing = RequestTiming(
-                        verb=timing.verb,
-                        value_bytes=timing.value_bytes,
-                        hash_s=timing.hash_s,
-                        memcached_s=timing.memcached_s * factor,
-                        network_s=timing.network_s,
-                    )
-            if energy_meter is not None and energy_meter.derate_factor != 1.0:
-                derate = energy_meter.derate_factor
-                timing = RequestTiming(
-                    verb=timing.verb,
-                    value_bytes=timing.value_bytes,
-                    hash_s=timing.hash_s / derate,
-                    memcached_s=timing.memcached_s / derate,
-                    network_s=timing.network_s,
-                )
+            timing = adjust_timing(self.model.batch_timing(timing_ops))
 
             def complete(wait: float) -> None:
                 served_at = dispatched + wait
@@ -2039,14 +1958,15 @@ class FullSystemStack:
                 request = generator.next_request()
                 if replicated:
                     for warm_port in placement.replicas_for(request.key):
-                        self._execute(
-                            request.key, "PUT", request.value_bytes,
+                        serve_op(
                             int(warm_port) - _BASE_TCP_PORT,
+                            request.key, "PUT", request.value_bytes,
                         )
                 else:
-                    self._execute(request.key, "PUT", request.value_bytes)
+                    warm_core = self.core_for_key(request.key)
+                    serve_op(warm_core, request.key, "PUT", request.value_bytes)
                     if tiered_stores is not None:
-                        tiered_stores[self.core_for_key(request.key)].put(
+                        tiered_stores[warm_core].put(
                             request.key, item_overhead + request.value_bytes
                         )
         if tiered_stores is not None:
@@ -2291,48 +2211,17 @@ class FullSystemStack:
                 return runtime_tripwire()
             return None
 
-        # Hot-loop caches, all pure functions of (key, size) while the
-        # ring is intact — which every window-entry guard ensures.
-        stores = [server.store for server in self.servers]
-        store_gets = [store.get for store in stores]
-        store_sets = [store.set for store in stores]
+        # Hot-loop bindings.  ``key_core`` caches the ring lookup, a pure
+        # function of the key while the ring is intact — which every
+        # window-entry guard ensures.
+        serve_op = self.serve_op
         key_core: dict[bytes, int] = {}
-        payload_cache: dict[int, bytes] = {}
-        digits_cache: dict[int, int] = {}
-        timing_cache: dict[tuple[str, int], RequestTiming] = {}
-        energy_cache: dict[tuple[str, int], tuple] = {}
         node_for = client_ring.node_for
         model_timing = self.model.request_timing
+        op_activity = self._op_activity
         _expovariate = rng.expovariate
         _next_raw = generator.next_raw
         diurnal_factor = diurnal.factor if diurnal is not None else None
-
-        if energy_meter is not None:
-            _e_key_bytes = self.model.cal.default_key_bytes
-            _e_item_overhead = ITEM_OVERHEAD_BYTES + _e_key_bytes
-            _e_flash = self.stack.flash
-
-            def op_energy(verb: str, served_bytes: int) -> tuple:
-                cached = energy_cache.get((verb, served_bytes))
-                if cached is None:
-                    item_bytes = _e_item_overhead + served_bytes
-                    rw = request_wire_payloads(
-                        verb, served_bytes, key_bytes=_e_key_bytes
-                    )
-                    wire = wire_bytes_for_payload(
-                        rw.request_payload
-                    ) + wire_bytes_for_payload(rw.response_payload)
-                    reads = programs = erases = 0.0
-                    if _e_flash is not None:
-                        pages = float(_e_flash.pages_for(item_bytes))
-                        if verb == "GET":
-                            reads = pages
-                        else:
-                            programs = pages
-                            erases = pages / _e_flash.pages_per_block
-                    cached = (2.0 * item_bytes, wire, reads, programs, erases)
-                    energy_cache[(verb, served_bytes)] = cached
-                return cached
 
         step_limit = fidelity.max_fluid_step_s
         if timeseries is not None:
@@ -2370,8 +2259,9 @@ class FullSystemStack:
                 hits = misses = puts = resp_bytes = 0
                 # Timing and energy are pure functions of (verb, served
                 # bytes), so the inner loop only *counts* occurrences per
-                # op shape — key ``served << 1 | is_get`` — and the float
-                # math runs once per distinct shape at the step boundary.
+                # op shape — key ``served << 1 | is_get`` — and the step
+                # boundary reads each distinct shape's timing and energy
+                # activity from the shared memo tables.
                 op_counts: dict[int, int] = {}
                 late_counts: dict[int, int] = {}
                 core_counts: dict[int, int] = {}
@@ -2388,26 +2278,13 @@ class FullSystemStack:
                         core = int(node_for(key)) - _BASE_TCP_PORT
                         key_core[key] = core
                     if is_get:
-                        item = store_gets[core](key)
-                        if item is not None:
-                            hit = True
+                        hit, resp_len = serve_op(core, key, "GET", size)
+                        if hit:
                             hits += 1
-                            vlen = len(item.value)
-                            digits = digits_cache.get(vlen)
-                            if digits is None:
-                                digits = len(str(vlen))
-                                digits_cache[vlen] = digits
-                            resp_len = 18 + len(key) + vlen + digits
                         else:
-                            hit = False
                             misses += 1
-                            resp_len = 5
                             if fill_on_miss:
-                                payload = payload_cache.get(size)
-                                if payload is None:
-                                    payload = b"x" * size
-                                    payload_cache[size] = payload
-                                store_sets[core](key, payload)
+                                serve_op(core, key, "PUT", size)
                         served = resp_len
                         if window_s is not None:
                             widx = int(t / window_s)
@@ -2416,12 +2293,7 @@ class FullSystemStack:
                                 win_hits[widx] = win_hits.get(widx, 0) + 1
                     else:
                         puts += 1
-                        payload = payload_cache.get(size)
-                        if payload is None:
-                            payload = b"x" * size
-                            payload_cache[size] = payload
-                        result = store_sets[core](key, payload)
-                        resp_len = len(result.value) + 2
+                        _hit, resp_len = serve_op(core, key, "PUT", size)
                         served = size
                     resp_bytes += resp_len
                     op = served << 1 | is_get
@@ -2446,10 +2318,7 @@ class FullSystemStack:
                 for op, n in op_counts.items():
                     served = op >> 1
                     verb = "GET" if op & 1 else "PUT"
-                    timing = timing_cache.get((verb, served))
-                    if timing is None:
-                        timing = model_timing(verb, served)
-                        timing_cache[(verb, served)] = timing
+                    timing = model_timing(verb, served)
                     busy_s += n * timing.total_s
                     n_counted = n - late_counts.get(op, 0)
                     if n_counted:
@@ -2457,7 +2326,7 @@ class FullSystemStack:
                         comp_mc += n_counted * timing.memcached_s
                         comp_net += n_counted * timing.network_s
                     if energy_meter is not None:
-                        mb, wb, fr, fp, fe = op_energy(verb, served)
+                        mb, wb, fr, fp, fe = op_activity(verb, served)
                         mem_bytes += n * mb
                         wire_bytes += n * wb
                         fl_reads += n * fr
@@ -2644,21 +2513,69 @@ class FullSystemStack:
 
     # --- functional execution -------------------------------------------------------
 
-    def _execute(
-        self, key: bytes, verb: str, value_bytes: int, core_index: int | None = None
+    def serve_op(
+        self, core: int, key: bytes, verb: str, size: int
     ) -> tuple[bool, int]:
-        """Run the request against the real store; (hit, response bytes)."""
-        if core_index is None:
-            core_index = self.core_for_key(key)
-        connection = self.connections[core_index]
+        """Run one GET or PUT against core ``core``'s store; returns
+        ``(hit, reply bytes)``.
+
+        The store is called directly and the reply length comes from the
+        protocol's framing helpers, so the result equals what the same
+        request would get through a :class:`MemcachedServer` connection
+        (a PUT of ``size`` bytes stores ``b"x" * size`` with zero
+        flags).  A PUT always reports ``hit=True``.
+
+        Raises:
+            SimulationError: if a PUT ends in anything but ``STORED`` or
+                ``OUT_OF_MEMORY``.
+        """
+        store = self._stores[core]
         if verb == "GET":
-            reply = connection.feed(b"get %s\r\n" % key)
-            hit = reply.startswith(b"VALUE ")
-            return hit, len(reply)
-        payload = b"x" * value_bytes
-        reply = connection.feed(
-            b"set %s 0 0 %d\r\n%s\r\n" % (key, value_bytes, payload)
-        )
-        if reply not in (b"STORED\r\n",) and not reply.startswith(b"SERVER_ERROR"):
-            raise SimulationError(f"unexpected store reply {reply!r}")
-        return True, len(reply)
+            item = store.get(key)
+            if item is None:
+                return False, GET_MISS_LENGTH
+            return True, get_hit_length(len(key), item.flags, len(item.value))
+        payload = self._payloads.get(size)
+        if payload is None:
+            payload = self._payloads[size] = b"x" * size
+        result = store.set(key, payload)
+        if (
+            result is not StoreResult.STORED
+            and result is not StoreResult.OUT_OF_MEMORY
+        ):
+            raise SimulationError(f"unexpected store result {result!r}")
+        return True, storage_reply_length(result)
+
+    def _op_activity(self, verb: str, served_bytes: int) -> tuple:
+        """Energy-metered activity of one op of this shape on the
+        non-tiered path: ``(memory bytes, wire bytes, flash page reads,
+        page programs, block erases)``.
+
+        "Energy follows time": bytes and pages are charged with the same
+        item framing (calibrated key length + overhead) the latency
+        model's timing uses — ``memory_bandwidth()`` moves 2x the item
+        per op, and flash ops cost whole pages as the model stalls for
+        them.  Memoised per ``(verb, served_bytes)``; the DES charges and
+        the fluid fold both read this table.
+        """
+        shape = (verb, served_bytes)
+        activity = self._activity.get(shape)
+        if activity is None:
+            key_bytes = self.model.cal.default_key_bytes
+            item_bytes = ITEM_OVERHEAD_BYTES + key_bytes + served_bytes
+            wire = request_wire_payloads(verb, served_bytes, key_bytes=key_bytes)
+            wire_bytes = wire_bytes_for_payload(
+                wire.request_payload
+            ) + wire_bytes_for_payload(wire.response_payload)
+            reads = programs = erases = 0.0
+            flash = self.stack.flash
+            if flash is not None:
+                pages = float(flash.pages_for(item_bytes))
+                if verb == "GET":
+                    reads = pages
+                else:
+                    programs = pages
+                    erases = pages / flash.pages_per_block
+            activity = (2.0 * item_bytes, wire_bytes, reads, programs, erases)
+            self._activity[shape] = activity
+        return activity

@@ -1,4 +1,4 @@
-"""RunOptions: validation, round-tripping, and the legacy-kwargs shim."""
+"""RunOptions: validation, round-tripping, and the run() signature."""
 
 import json
 
@@ -110,45 +110,7 @@ class TestRoundTrip:
 
 
 class TestDeprecationShim:
-    def test_legacy_kwargs_warn_and_still_run(self):
-        with pytest.warns(DeprecationWarning, match="RunOptions"):
-            results = make_stack().run(
-                small_workload(), offered_rate_hz=5_000.0, duration_s=0.05
-            )
-        assert results.completed > 0
-
-    def test_legacy_positional_rate_and_duration_warn(self):
-        with pytest.warns(DeprecationWarning):
-            results = make_stack().run(small_workload(), 5_000.0, 0.05)
-        assert results.completed > 0
-
-    def test_legacy_path_matches_options_path(self):
-        new = make_stack().run(
-            small_workload(), RunOptions(offered_rate_hz=5_000.0, duration_s=0.1)
-        )
-        with pytest.warns(DeprecationWarning):
-            old = make_stack().run(
-                small_workload(), offered_rate_hz=5_000.0, duration_s=0.1
-            )
-        assert old.to_dict() == new.to_dict()
-
-    def test_mixing_options_and_kwargs_rejected(self):
-        with pytest.raises(ConfigurationError, match="not both"):
-            make_stack().run(
-                small_workload(),
-                RunOptions(5_000.0, 0.05),
-                warmup_requests=10,
-            )
-
-    def test_unknown_legacy_kwarg_rejected(self):
-        with pytest.warns(DeprecationWarning):
-            with pytest.raises(ConfigurationError, match="unsupported"):
-                make_stack().run(
-                    small_workload(),
-                    offered_rate_hz=5_000.0,
-                    duration_s=0.05,
-                    bogus_flag=True,
-                )
+    """The keyword shim is retired; the one run() form stays warning-free."""
 
     def test_options_run_emits_no_warning(self, recwarn):
         make_stack().run(small_workload(), RunOptions(5_000.0, 0.05))
