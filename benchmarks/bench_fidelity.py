@@ -11,9 +11,14 @@ draws, same store contents → exactly the same completions, hits, misses,
 puts, and response bytes) while finishing faster, and the slow enclosure
 test reproduces the paper's headline density scenario — the 96-stack
 1.5U enclosure of §4, simulated at one stack's share of enclosure load —
-and requires hybrid to beat pure DES by >= 10x wall-clock.
+and requires hybrid to beat pure DES by >= 10x wall-clock.  A second
+slow test runs the same cell at memcached's default key skew, where the
+hottest core runs past the utilisation guard: per-core fidelity keeps
+that one core in DES and folds the rest, and must still beat pure DES
+by >= 2x with identical functional outputs.
 """
 
+import dataclasses
 import random
 import time
 
@@ -34,10 +39,11 @@ WORKLOAD = WorkloadSpec(
     name="fidelity-bench",
     get_fraction=0.9,
     key_population=50_000,
-    # Mild skew: at memcached's default 0.99 the single hottest key
-    # carries ~10% of all GETs, which pins one core past the fluid
-    # model's utilisation guard at any interesting offered rate.  An
-    # enclosure cell is provisioned to stay out of that regime.
+    # Mild skew keeps every core under the fluid model's utilisation
+    # guard, so the whole stack folds.  At memcached's default 0.99 the
+    # single hottest key carries ~10% of all GETs and pins its core past
+    # the guard; that core is then held at DES fidelity while the rest
+    # fold (see test_hybrid_enclosure_default_skew_speedup).
     key_skew=0.5,
     value_sizes=fixed_size(64),
 )
@@ -52,6 +58,9 @@ WORKLOAD = WorkloadSpec(
 ENCLOSURE_CORES = 16
 ENCLOSURE_RATE_HZ = 100_000.0
 ENCLOSURE_DURATION_S = 8.0
+#: The default-skew enclosure cell is shorter: its hot core runs DES
+#: for the whole run, so the DES leg dominates the hybrid leg less.
+DEFAULT_SKEW_DURATION_S = 2.0
 
 
 def _stack(cores: int, seed: int = 42) -> FullSystemStack:
@@ -77,7 +86,15 @@ def _enclosure_slo():
     )
 
 
-def _run(cores, rate_hz, duration_s, fidelity=None, energy=False, slo=False):
+def _run(
+    cores,
+    rate_hz,
+    duration_s,
+    fidelity=None,
+    energy=False,
+    slo=False,
+    workload=WORKLOAD,
+):
     options = RunOptions(
         offered_rate_hz=rate_hz,
         duration_s=duration_s,
@@ -87,7 +104,7 @@ def _run(cores, rate_hz, duration_s, fidelity=None, energy=False, slo=False):
         fidelity=fidelity,
     )
     start = time.perf_counter()
-    results = _stack(cores).run(WORKLOAD, options)
+    results = _stack(cores).run(workload, options)
     return results, time.perf_counter() - start
 
 
@@ -211,5 +228,47 @@ def test_hybrid_enclosure_speedup():
     assert speedup >= 10.0, (
         f"hybrid must fast-forward the enclosure cell >= 10x: "
         f"DES {des_wall:.2f}s vs hybrid {hybrid_wall:.2f}s "
+        f"({speedup:.1f}x)"
+    )
+
+
+@pytest.mark.slow
+def test_hybrid_enclosure_default_skew_speedup():
+    """>= 2x on the enclosure cell at zipf 0.99, hot core held in DES."""
+    workload = dataclasses.replace(WORKLOAD, key_skew=0.99)
+    des, des_wall = _run(
+        ENCLOSURE_CORES,
+        ENCLOSURE_RATE_HZ,
+        DEFAULT_SKEW_DURATION_S,
+        energy=True,
+        workload=workload,
+    )
+    hybrid, hybrid_wall = _run(
+        ENCLOSURE_CORES,
+        ENCLOSURE_RATE_HZ,
+        DEFAULT_SKEW_DURATION_S,
+        fidelity=FidelityPolicy(
+            mode="hybrid", calibration_s=0.03, guard_band_s=0.02
+        ),
+        energy=True,
+        workload=workload,
+    )
+
+    assert _functional_signature(hybrid) == _functional_signature(des)
+    assert (hybrid.failed, hybrid.mac_drops) == (des.failed, des.mac_drops)
+    assert hybrid.rtt_histogram.counts == des.rtt_histogram.counts
+    assert "sim_fidelity_fallback_reason" not in hybrid.fidelity
+    assert hybrid.fidelity["sim_fidelity_des_cores"]
+
+    speedup = des_wall / hybrid_wall
+    track(
+        "fidelity_enclosure_default_skew",
+        hybrid_speedup=speedup,
+        des_requests_per_sec=des.completed / des_wall,
+        hybrid_requests_per_sec=hybrid.completed / hybrid_wall,
+    )
+    assert speedup >= 2.0, (
+        f"per-core fidelity must fast-forward the default-skew cell "
+        f">= 2x: DES {des_wall:.2f}s vs hybrid {hybrid_wall:.2f}s "
         f"({speedup:.1f}x)"
     )

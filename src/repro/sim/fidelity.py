@@ -26,8 +26,8 @@ Modes
 ``hybrid``
     DES inside guard-banded fault windows and an initial calibration
     segment; fluid fast-forward through the quiescent complement, with
-    runtime tripwires (SLO alert, thermal derate, drops or saturation
-    observed in calibration) dropping a window back to DES.
+    runtime tripwires (SLO alert, thermal derate, losses other than a
+    held core's own MAC drops) dropping a window back to DES.
 ``fluid``
     Like ``hybrid`` but without the runtime tripwires — maximum speed
     for workloads the caller already knows are quiescent.  Fault windows
@@ -37,9 +37,20 @@ Guard bands and validity
 ------------------------
 Fluid folding assumes the per-core queues are in steady state.  That
 fails (a) around fault transitions, so each DES island is widened by
-``guard_band_s`` on both sides; and (b) when queues are saturated, so a
-window entry is refused when calibrated utilisation exceeds
-``max_utilization`` or the calibration segment observed MAC drops.
+``guard_band_s`` on both sides; and (b) on saturated queues, which is
+decided per core.  Each fluid window first picks its *held* cores
+(:func:`held_cores`): any core whose calibrated utilisation exceeds
+``max_utilization``, and any core that already overflowed its MAC
+buffer.  A held core's requests are dispatched into the DES at their
+arrival times, so its queue, drops and tail stay exact, while every
+other core is folded — with its FIFO delays computed per request, which
+the held core's DES cost already dwarfs, so the whole window's latency
+stays exact too.  Only when every core is held, or when the
+client may fail a held core's port over mid-window (its keys would move
+onto a folded core), does the window stay DES (fallback reason
+``saturated``).  Under memcached's default 0.99 key skew the hottest
+key pins one core past the guard at realistic rates; that one core no
+longer takes the whole stack back to DES.
 Structural features whose event-level interleaving *is* the phenomenon
 under study (replication quorums, batching, the tiered flashstore,
 request hedging, causal tracing) disable fast-forward for the whole run
@@ -49,7 +60,7 @@ request hedging, causal tracing) disable fast-forward for the whole run
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Mapping
+from typing import Any, Collection, Mapping, Sequence
 
 from repro.errors import ConfigurationError
 from repro.faults.schedule import FaultSchedule
@@ -101,8 +112,8 @@ class FidelityPolicy:
     fluid windows advance in steps of at most ``max_fluid_step_s`` so
     housekeeping ticks (timeseries, SLO, energy, faults) observe fresh
     aggregates at their own cadence; ``max_utilization`` is the
-    calibrated per-core load above which steady-state folding is
-    refused.
+    calibrated per-core load above which a core is held at DES
+    fidelity (see :func:`held_cores`).
     """
 
     mode: str = "hybrid"
@@ -207,6 +218,36 @@ def plan_segments(
         else:
             cleaned.append((start, end, kind))
     return cleaned
+
+
+def held_cores(
+    arrivals_per_core: Sequence[int],
+    offered_rate_hz: float,
+    mean_service_s: float,
+    max_utilization: float,
+    dropped: Collection[int] = (),
+) -> dict[int, float]:
+    """The cores a fluid window must keep at DES fidelity, with their
+    calibrated utilisation ``{core: rho}``.
+
+    A core's utilisation is the offered rate times its share of the
+    observed *arrivals* times the mean service time.  Arrivals, not
+    completions: a saturated core's dropped and still-queued requests
+    are missing from its completions, so a completion share would read
+    the hottest core low exactly when it matters.  With no arrivals
+    observed the load is taken as evenly split.  A core is held when its
+    utilisation exceeds ``max_utilization`` (strictly) or it is in
+    ``dropped`` (it already overflowed its MAC buffer).
+    """
+    total = sum(arrivals_per_core)
+    even_share = 1.0 / len(arrivals_per_core) if arrivals_per_core else 0.0
+    held: dict[int, float] = {}
+    for core, arrivals in enumerate(arrivals_per_core):
+        share = arrivals / total if total else even_share
+        rho = offered_rate_hz * share * mean_service_s
+        if rho > max_utilization or core in dropped:
+            held[core] = rho
+    return held
 
 
 def allocate_proportional(weights: list[int], n: int) -> dict[int, int]:

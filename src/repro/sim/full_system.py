@@ -49,6 +49,7 @@ from repro.sim.events import Simulator
 from repro.sim.fidelity import (
     allocate_proportional,
     fault_intervals,
+    held_cores,
     plan_segments,
 )
 from repro.sim.resources import FifoResource
@@ -753,6 +754,7 @@ class FullSystemStack:
         )
         down_cores: set[int] = set()
         failed_over: set[str] = set()
+        drops_per_core = [0] * self.stack.cores
         consecutive_timeouts: dict[str, int] = {}
 
         repl = replication
@@ -1727,6 +1729,7 @@ class FullSystemStack:
                 # MAC buffer full for this core: the packet is dropped
                 # and the client sees it as a timeout.
                 results.mac_drops += 1
+                drops_per_core[core_index] += 1
                 drops_total.inc()
                 lost = True
             if lost:
@@ -2037,9 +2040,11 @@ class FullSystemStack:
                 arrival_delay=arrival_delay,
                 dispatch=dispatch,
                 tracer=tracer,
+                policy=policy,
                 client_ring=client_ring,
                 down_cores=down_cores,
                 cores=cores,
+                drops_per_core=drops_per_core,
                 energy_meter=energy_meter,
                 slo=slo,
                 timeseries=timeseries,
@@ -2103,9 +2108,11 @@ class FullSystemStack:
         arrival_delay,
         dispatch,
         tracer,
+        policy,
         client_ring,
         down_cores,
         cores,
+        drops_per_core,
         energy_meter,
         slo,
         timeseries,
@@ -2121,64 +2128,143 @@ class FullSystemStack:
         DES segments replay the event loop unchanged, so everything
         inside them (RNG draws, store mutations, event interleavings) is
         bit-identical to a pure-DES run.  Fluid segments consume the
-        same arrival/workload RNG draws one by one and execute each
-        request *functionally* against the same stores — keeping store
-        contents, hit/miss outcomes, and the RNG cursor exact — while
-        folding the per-request latency/energy/SLO accounting in batches
-        calibrated from the DES-only portion of the run so far.
+        same arrival/workload RNG draws one by one.  Each window first
+        picks its *held* cores (:func:`~repro.sim.fidelity.held_cores`):
+        their requests go to ``dispatch`` at their arrival times, so
+        their queues, drops and tails stay exact DES.  Every other
+        core's requests execute *functionally* against the same stores —
+        keeping store contents, hit/miss outcomes, and the RNG cursor
+        exact — while the energy accounting is folded in batches.  Their
+        latency is folded too: calibrated from the quiescent DES islands
+        when no core is held, and, when one is, computed per request by
+        each folded core's own FIFO recursion, which gives exactly the
+        waits its DES queue would.
         """
+        from repro.workloads.generator import Request
+
         hybrid = fidelity.mode == "hybrid"
+        n_cores = len(cores)
         fluid_windows = 0
         fluid_seconds = 0.0
         fluid_requests = 0
         des_seconds = 0.0
         fallback_reason: str | None = None
+        des_cores: dict[int, float] = {}
         fluid_active_gauge = registry.gauge("sim_fidelity_fluid_active")
+
+        # ``key_core`` caches the client's key -> core lookup in fluid
+        # windows, a pure function of the key while the ring is intact —
+        # which every window-entry guard ensures.
+        key_core: dict[bytes, int] = {}
+        node_for = client_ring.node_for
+
+        # A held core's MAC drops are client timeouts on its port; with
+        # failover armed, enough of them would re-route the held core's
+        # keys mid-window onto a folded core whose ops for the step
+        # already ran.  Such runs hold no core: any core past the guard
+        # keeps the whole stack in DES (``saturated``).
+        can_fail_over = policy is not None and policy.failover_after is not None
+
+        def open_state(t: float, verb: str) -> dict:
+            return {
+                "done": False,
+                "arrival": t,
+                "attempts": 0,
+                "trace": tracer.begin(t, verb=verb),
+            }
 
         # The arrival chain keeps exactly one pending event; tracking
         # its absolute fire time lets a fluid window cancel it, replay
         # the arrival process analytically from that exact time, and
         # hand the (still-undrawn) next arrival back to DES afterwards.
+        # DES arrivals are tallied per core: the utilisation estimate
+        # that picks held cores reads arrival shares, not completions.
         next_arrival = [0.0]
         arrival_event: list = [None]
+        arrivals_per_core = [0] * n_cores
 
         def arrive_h() -> None:
             if sim.now >= duration_s:
                 arrival_event[0] = None
                 return
             request = generator.next_request()
-            state = {
-                "done": False,
-                "arrival": sim.now,
-                "attempts": 0,
-                "trace": tracer.begin(sim.now, verb=request.verb),
-            }
-            dispatch(request, state, 0)
+            arrivals_per_core[int(node_for(request.key)) - _BASE_TCP_PORT] += 1
+            dispatch(request, open_state(sim.now, request.verb), 0)
             delay = arrival_delay()
             next_arrival[0] = sim.now + delay
             arrival_event[0] = sim.schedule(delay, arrive_h)
 
-        # The RTT/wait histograms stay DES-only for the whole run:
-        # counted fluid completions accumulate in ``deferred_counted``
-        # and fold into the histograms exactly once, after the final
-        # segment — over the distribution that *every* DES island
-        # (calibration prefix, guard-banded fault windows, the trailing
-        # run-end guard band) contributed to.  A per-window fold would
-        # only see the islands before it; the end-of-run fold gives the
-        # tail buckets the whole run's DES evidence.  SLO/throttle
-        # housekeeping inside fluid windows reads the same DES-only
-        # histograms, which is exactly the calibration distribution.
+        # The RTT/wait histograms hold exact samples only for the whole
+        # run (DES completions, and the folded cores' FIFO recursion in
+        # windows that hold a core): the calibrated completions of
+        # windows that hold none accumulate in ``deferred_counted`` and
+        # fold into the histograms exactly once, after the final segment
+        # — over the samples of *every* quiescent DES island
+        # (calibration prefix, the trailing run-end guard band).  A
+        # per-window fold would only see the islands before it; the
+        # end-of-run fold gives the tail buckets the whole run's DES
+        # evidence.
         rtt_hist = results.rtt_histogram
         wait_hist = results.wait_histogram
         deferred_counted = 0
-        folded_per_core: dict[int, int] = {}
 
-        def runtime_tripwire() -> str | None:
+        # Quiescent-DES samples: fluid windows model the system
+        # *between* perturbations, so the calibrated mass must scale the
+        # samples of quiescent islands — folding over fault-window
+        # samples would amplify fault-elevated tails into the
+        # fast-forwarded quiescent mass.  Each DES segment that overlaps
+        # no guarded fault adds its sample deltas to ``quiet``.
+        fault_spans = (
+            []
+            if faults is None
+            else [
+                (
+                    max(0.0, start - fidelity.guard_band_s),
+                    min(duration_s, end + fidelity.guard_band_s),
+                )
+                for start, end in fault_intervals(faults)
+            ]
+        )
+
+        def overlaps_fault(start: float, end: float) -> bool:
+            return any(s < end and start < e for s, e in fault_spans)
+
+        quiet = (StreamingHistogram(), StreamingHistogram())
+
+        def run_des(until: float) -> None:
+            """One quiescent DES segment, its samples added to ``quiet``."""
+            before = [(list(h.counts), h.total) for h in (rtt_hist, wait_hist)]
+            sim.run(until=until)
+            for dest, src, (counts, total) in zip(
+                quiet, (rtt_hist, wait_hist), before
+            ):
+                dest.record_bucketed(
+                    {i: c - counts[i] for i, c in enumerate(src.counts)},
+                    src.total - total,
+                    src.min_seen,
+                    src.max_seen,
+                )
+
+        def calibration() -> tuple[StreamingHistogram, StreamingHistogram]:
+            """The RTT and wait distributions of the quiescent DES
+            islands, or the whole exact distribution when those saw too
+            few samples to be a usable shape."""
+            if quiet[0].count < _MIN_CALIBRATION_SAMPLES:
+                return rtt_hist, wait_hist
+            return quiet
+
+        def runtime_tripwire(held: dict[int, float]) -> str | None:
             """Hybrid-only signals that the system is *currently* in a
             regime whose event-level dynamics matter."""
             if down_cores:
                 return "cores_down"
-            if results.mac_drops or results.fault_timeouts or results.failed:
+            # A held core's MAC drops are its exact DES queue overflowing
+            # — the regime it is held for.  Each costs one timeout and at
+            # most one failure; any loss beyond that is elsewhere.
+            held_drops = sum(drops_per_core[core] for core in held)
+            if held_drops < max(
+                results.mac_drops, results.fault_timeouts, results.failed
+            ):
                 return "losses_observed"
             if energy_meter is not None and energy_meter.derate_factor != 1.0:
                 return "thermal_throttle"
@@ -2186,37 +2272,29 @@ class FullSystemStack:
                 return "slo_alert"
             return None
 
-        def fluid_blocked() -> str | None:
-            """Why a fluid window may not open right now (None = go)."""
+        def classify() -> tuple[str | None, dict[int, float]]:
+            """Why a fluid window may not open right now (None = go),
+            and the cores it must hold at DES fidelity."""
             des_count = rtt_hist.count
             if des_count < _MIN_CALIBRATION_SAMPLES:
-                return "calibration_too_thin"
-            mean_service = (rtt_hist.total - wait_hist.total) / des_count
-            share_max = 1.0 / len(cores)
-            des_core_total = 0
-            des_core_max = 0
-            for core, served in results.per_core_served.items():
-                des_served = served - folded_per_core.get(core, 0)
-                des_core_total += des_served
-                if des_served > des_core_max:
-                    des_core_max = des_served
-            if des_core_total:
-                share_max = des_core_max / des_core_total
-            # Peak-rate utilisation of the hottest core (the diurnal
-            # factor only ever lowers the rate, so this bounds it).
-            rho = offered_rate_hz * share_max * mean_service
-            if rho > fidelity.max_utilization:
-                return "saturated"
+                return "calibration_too_thin", {}
+            # Peak-rate utilisation (the diurnal factor only ever lowers
+            # the rate, so this bounds it).
+            held = held_cores(
+                arrivals_per_core,
+                offered_rate_hz,
+                (rtt_hist.total - wait_hist.total) / des_count,
+                fidelity.max_utilization,
+                dropped={core for core, n in enumerate(drops_per_core) if n},
+            )
+            if held and (len(held) == n_cores or can_fail_over):
+                return "saturated", held
             if hybrid:
-                return runtime_tripwire()
-            return None
+                return runtime_tripwire(held), held
+            return None, held
 
-        # Hot-loop bindings.  ``key_core`` caches the ring lookup, a pure
-        # function of the key while the ring is intact — which every
-        # window-entry guard ensures.
+        # Hot-loop bindings.
         serve_op = self.serve_op
-        key_core: dict[bytes, int] = {}
-        node_for = client_ring.node_for
         model_timing = self.model.request_timing
         op_activity = self._op_activity
         _expovariate = rng.expovariate
@@ -2229,14 +2307,25 @@ class FullSystemStack:
         if slo is not None:
             step_limit = min(step_limit, slo.resolution_s)
 
+        def hold(t: float, key: bytes, size: int, is_get: bool) -> float:
+            """Hand one held core's request to the DES at its arrival
+            time ``t``; returns the next arrival time."""
+            request = Request("GET" if is_get else "PUT", key, size)
+            state = open_state(t, request.verb)
+            sim.schedule_at(t, lambda: dispatch(request, state, 0))
+            if diurnal_factor is None:
+                return t + _expovariate(offered_rate_hz)
+            return t + _expovariate(offered_rate_hz * diurnal_factor(t))
+
         def run_fluid_window(
-            seg_start: float, seg_end: float
+            seg_start: float, seg_end: float, held: dict[int, float]
         ) -> tuple[str | None, float]:
-            """Fast-forward ``[seg_start, seg_end)``; returns the
-            tripwire reason if the window broke early (None otherwise)
-            and the simulated time actually covered fluidly."""
+            """Fast-forward ``[seg_start, seg_end)`` with ``held`` cores
+            at DES fidelity; returns the tripwire reason if the window
+            broke early (None otherwise) and the simulated time actually
+            covered fluidly."""
             nonlocal fluid_windows, fluid_seconds, fluid_requests
-            nonlocal deferred_counted
+            nonlocal deferred_counted, key_core
             fluid_windows += 1
             fluid_active_gauge.set(1.0)
             pending = arrival_event[0]
@@ -2245,11 +2334,32 @@ class FullSystemStack:
                 arrival_event[0] = None
             nt = next_arrival[0]
 
-            cal_mean_rtt = rtt_hist.mean
-            # Arrivals too close to the run's end would complete past
-            # ``duration_s`` in DES, where the conditional stats stop
-            # counting; mirror that cutoff at the calibrated mean RTT.
-            threshold = duration_s - cal_mean_rtt
+            if held:
+                # The held cores' DES already costs a heap event per
+                # request, so the folded cores get exact latencies for a
+                # few float ops each: ``free_at[core]`` is when that
+                # core's FIFO server next idles, starting from the jobs
+                # its DES queue holds now, and each folded request
+                # starts at max(arrival, free_at).  Every arrival takes
+                # the branch below the cutoff test, which counts a
+                # completion iff it ends by ``duration_s``, as DES does.
+                free_at = [core.drained_at() for core in cores]
+                service_of: dict[int, float] = {}
+                threshold = -math.inf
+                # The key cache must not answer for held cores' keys:
+                # filtered once here (the copy stays the run's cache), a
+                # held core's key misses and takes the slow branch while
+                # a folded request still costs one hit.
+                key_core = {k: c for k, c in key_core.items() if c not in held}
+            else:
+                free_at = None
+                cal_rtt = calibration()[0]
+                fraction_below = cal_rtt.fraction_below
+                # Arrivals too close to the run's end would complete
+                # past ``duration_s`` in DES, where the conditional
+                # stats stop counting; mirror that cutoff at the
+                # calibrated mean RTT.
+                threshold = duration_s - cal_rtt.mean
 
             cursor = seg_start
             broke: str | None = None
@@ -2267,6 +2377,9 @@ class FullSystemStack:
                 core_counts: dict[int, int] = {}
                 win_gets: dict[int, int] = {}
                 win_hits: dict[int, int] = {}
+                if free_at is not None:
+                    step_rtts: list[float] = []
+                    step_waits: list[float] = []
                 _op_get = op_counts.get
                 _core_get = core_counts.get
                 _kc_get = key_core.get
@@ -2276,6 +2389,9 @@ class FullSystemStack:
                     core = _kc_get(key)
                     if core is None:
                         core = int(node_for(key)) - _BASE_TCP_PORT
+                        if core in held:
+                            nt = hold(t, key, size, is_get)
+                            continue
                         key_core[key] = core
                     if is_get:
                         hit, resp_len = serve_op(core, key, "GET", size)
@@ -2300,8 +2416,24 @@ class FullSystemStack:
                     op_counts[op] = _op_get(op, 0) + 1
                     if t <= threshold:
                         core_counts[core] = _core_get(core, 0) + 1
-                    else:
+                    elif free_at is None:
                         late_counts[op] = late_counts.get(op, 0) + 1
+                    else:
+                        service = service_of.get(op)
+                        if service is None:
+                            service = service_of[op] = model_timing(
+                                "GET" if is_get else "PUT", served
+                            ).total_s
+                        start = free_at[core]
+                        if start < t:
+                            start = t
+                        end = free_at[core] = start + service
+                        if end <= duration_s:
+                            core_counts[core] = _core_get(core, 0) + 1
+                            step_rtts.append(end - t)
+                            step_waits.append(start - t)
+                        else:
+                            late_counts[op] = late_counts.get(op, 0) + 1
                     n_req += 1
                     if diurnal_factor is None:
                         nt = t + _expovariate(offered_rate_hz)
@@ -2354,7 +2486,6 @@ class FullSystemStack:
                     for widx, n in win_hits.items():
                         results.window_hits.observe_index(widx, float(n))
                 if counted_n:
-                    deferred_counted += counted_n
                     results.completed += counted_n
                     completed_total.inc(counted_n)
                     results.component_seconds["hash"] += comp_hash
@@ -2365,14 +2496,25 @@ class FullSystemStack:
                             results.per_core_served.get(core, 0) + n
                         )
                         served_per_core[core].inc(n)
-                        folded_per_core[core] = (
-                            folded_per_core.get(core, 0) + n
-                        )
+                    if free_at is None:
+                        deferred_counted += counted_n
+                        step_fraction = fraction_below
+                    else:
+                        rtt_hist.record_many(step_rtts)
+                        wait_hist.record_many(step_waits)
+
+                        def step_fraction(deadline_s: float) -> float:
+                            # The step's exact share within the deadline,
+                            # judged per request as the DES SLO does.
+                            return (
+                                sum(1 for rtt in step_rtts if rtt <= deadline_s)
+                                / counted_n
+                            )
                     if slo is not None:
                         slo.record_bulk(
                             cursor + (step_end - cursor) / 2.0,
                             counted_n,
-                            rtt_hist.fraction_below,
+                            step_fraction,
                         )
                 if energy_meter is not None and n_req:
                     energy_meter.charge_core_busy_bulk(cursor, step_end, busy_s)
@@ -2391,41 +2533,26 @@ class FullSystemStack:
                 sim.run(until=step_end)
                 cursor = step_end
                 if hybrid and cursor < seg_end - 1e-12:
-                    broke = runtime_tripwire()
+                    broke = runtime_tripwire(held)
                     if broke is not None:
                         break
 
+            if free_at is not None:
+                # Hand each folded core's backlog to its DES queue, so
+                # requests after the window wait behind it as they would
+                # in DES.  (A core whose pre-window DES jobs outlast the
+                # window keeps only those: rare at rho below the guard.)
+                for core, until in enumerate(free_at):
+                    if (
+                        core not in held
+                        and until > sim.now
+                        and not cores[core].busy
+                    ):
+                        cores[core].occupy_until(until)
             next_arrival[0] = nt
             arrival_event[0] = sim.schedule_at(nt, arrive_h)
             fluid_active_gauge.set(0.0)
             return broke, cursor
-
-        # Quiescent-DES sample tracking: fluid windows model the system
-        # *between* perturbations, so the end-of-run fold must scale the
-        # distribution of DES samples observed in quiescent islands
-        # (calibration prefix, trailing guard band) — folding over
-        # fault-window samples would amplify fault-elevated tails into
-        # the fast-forwarded quiescent mass.
-        fault_spans = (
-            []
-            if faults is None
-            else [
-                (
-                    max(0.0, start - fidelity.guard_band_s),
-                    min(duration_s, end + fidelity.guard_band_s),
-                )
-                for start, end in fault_intervals(faults)
-            ]
-        )
-
-        def overlaps_fault(start: float, end: float) -> bool:
-            return any(s < end and start < e for s, e in fault_spans)
-
-        q_rtt = [0] * len(rtt_hist.counts)
-        q_wait = [0] * len(wait_hist.counts)
-        q_count = 0
-        q_rtt_total = 0.0
-        q_wait_total = 0.0
 
         # --- the segment plan, executed -----------------------------------------
         first_delay = arrival_delay()
@@ -2436,29 +2563,21 @@ class FullSystemStack:
         ):
             if seg_kind == "des":
                 des_seconds += seg_end - seg_start
-                quiet = not overlaps_fault(seg_start, seg_end)
-                if quiet:
-                    before_rtt = list(rtt_hist.counts)
-                    before_wait = list(wait_hist.counts)
-                    before = (rtt_hist.count, rtt_hist.total, wait_hist.total)
-                sim.run(until=seg_end)
-                if quiet:
-                    for i, c in enumerate(rtt_hist.counts):
-                        q_rtt[i] += c - before_rtt[i]
-                    for i, c in enumerate(wait_hist.counts):
-                        q_wait[i] += c - before_wait[i]
-                    q_count += rtt_hist.count - before[0]
-                    q_rtt_total += rtt_hist.total - before[1]
-                    q_wait_total += wait_hist.total - before[2]
+                if overlaps_fault(seg_start, seg_end):
+                    sim.run(until=seg_end)
+                else:
+                    run_des(seg_end)
                 continue
-            reason = fluid_blocked()
+            reason, held = classify()
+            if reason in (None, "saturated"):
+                des_cores.update(held)
             if reason is not None:
                 if fallback_reason is None:
                     fallback_reason = reason
                 des_seconds += seg_end - seg_start
                 sim.run(until=seg_end)
                 continue
-            broke, reached = run_fluid_window(seg_start, seg_end)
+            broke, reached = run_fluid_window(seg_start, seg_end, held)
             if broke is not None:
                 if fallback_reason is None:
                     fallback_reason = broke
@@ -2467,33 +2586,19 @@ class FullSystemStack:
         sim.run()  # drain completions past the horizon
 
         if deferred_counted:
-            # The end-of-run fold: distribute every counted fluid
+            # The end-of-run fold: distribute every calibrated fluid
             # completion over the quiescent DES latency/wait
             # distributions (largest-remainder, so totals are exact and
             # the folded shape tracks the observed one as closely as
-            # integers allow).  Falls back to the whole DES-only
-            # distribution if quiescent islands somehow saw too few
-            # samples to be a usable shape.
-            if q_count >= _MIN_CALIBRATION_SAMPLES:
-                rtt_counts, rtt_mean = q_rtt, q_rtt_total / q_count
-                wait_counts, wait_mean = q_wait, q_wait_total / q_count
-            else:
-                rtt_counts, rtt_mean = rtt_hist.counts, rtt_hist.mean
-                wait_counts, wait_mean = wait_hist.counts, wait_hist.mean
-            alloc = allocate_proportional(rtt_counts, deferred_counted)
-            rtt_hist.record_bucketed(
-                alloc,
-                deferred_counted * rtt_mean,
-                rtt_hist.min_seen,
-                rtt_hist.max_seen,
-            )
-            walloc = allocate_proportional(wait_counts, deferred_counted)
-            wait_hist.record_bucketed(
-                walloc,
-                deferred_counted * wait_mean,
-                wait_hist.min_seen,
-                wait_hist.max_seen,
-            )
+            # integers allow).
+            cal_rtt, cal_wait = calibration()
+            for hist, cal in ((rtt_hist, cal_rtt), (wait_hist, cal_wait)):
+                hist.record_bucketed(
+                    allocate_proportional(cal.counts, deferred_counted),
+                    deferred_counted * cal.mean,
+                    hist.min_seen,
+                    hist.max_seen,
+                )
 
         registry.counter("sim_fidelity_fluid_windows_total").inc(fluid_windows)
         registry.counter("sim_fidelity_fluid_seconds_total").inc(fluid_seconds)
@@ -2510,6 +2615,12 @@ class FullSystemStack:
         }
         if fallback_reason is not None:
             results.fidelity["sim_fidelity_fallback_reason"] = fallback_reason
+        if des_cores:
+            # Keyed like per_core_served in to_dict(), so the dict
+            # round-trips through JSON unchanged.
+            results.fidelity["sim_fidelity_des_cores"] = {
+                str(core): des_cores[core] for core in sorted(des_cores)
+            }
 
     # --- functional execution -------------------------------------------------------
 

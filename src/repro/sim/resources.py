@@ -52,6 +52,7 @@ class FifoResource:
         self.servers = servers
         self.busy_observer = busy_observer
         self._busy = 0
+        self._busy_until = 0.0
         self._queue: deque[_Job] = deque()
         self.jobs_served = 0
         self.total_wait = 0.0
@@ -94,11 +95,42 @@ class FifoResource:
             self._busy -= 1
             self.jobs_served += 1
             job.on_complete(wait)
-            if self._queue and self._busy < self.servers:
-                self._start(self._queue.popleft())
-                self._depth_gauge.set(len(self._queue))
+            self._start_next()
 
-        self.sim.schedule(job.service_time, finish)
+        self._busy_until = self.sim.schedule(job.service_time, finish).time
+
+    def _start_next(self) -> None:
+        if self._queue and self._busy < self.servers:
+            self._start(self._queue.popleft())
+            self._depth_gauge.set(len(self._queue))
+
+    # --- fluid hand-over (single-server queues) ------------------------------------
+
+    def drained_at(self) -> float:
+        """When a single-server queue finishes the jobs it holds now —
+        the time a job submitted after them would start.  Sums in the
+        order the queue would run them, so the result is the exact
+        float the simulation reaches."""
+        end = self._busy_until if self._busy else self.sim.now
+        for job in self._queue:
+            end += job.service_time
+        return end
+
+    def occupy_until(self, until_s: float) -> None:
+        """Keep an idle single server busy until ``until_s`` with work
+        done outside the queue (a fluid window's folded backlog): jobs
+        submitted meanwhile wait behind it, and nothing about the
+        occupation itself is recorded or charged to ``busy_observer``."""
+        if self._busy:
+            raise SimulationError("occupy_until needs an idle server")
+        self._busy += 1
+        self._busy_until = until_s
+
+        def release() -> None:
+            self._busy -= 1
+            self._start_next()
+
+        self.sim.schedule_at(until_s, release)
 
     # --- statistics ----------------------------------------------------------------
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 import re
-from typing import Iterator, Mapping
+from typing import Iterator, Mapping, Sequence
 
 from repro.errors import ConfigurationError
 
@@ -138,6 +138,30 @@ class StreamingHistogram:
             self.max_seen = value
         if exemplar is not None:
             self.exemplars[index] = exemplar
+
+    def record_many(self, values: "Sequence[float]") -> None:
+        """:meth:`record` each of ``values`` (no exemplars) in one call:
+        the same buckets, for a loop's worth less call overhead."""
+        if not values:
+            return
+        low = min(values)
+        if low < 0:
+            raise ConfigurationError("histogram values must be non-negative")
+        counts = self.counts
+        top = len(counts) - 1
+        floor = self.min_value
+        per_decade = self.buckets_per_decade
+        log10 = math.log10
+        for value in values:
+            if value <= floor:
+                counts[0] += 1
+            else:
+                index = int(log10(value / floor) * per_decade)
+                counts[index if index < top else top] += 1
+        self.count += len(values)
+        self.total += sum(values)
+        self.min_seen = min(self.min_seen, low)
+        self.max_seen = max(self.max_seen, max(values))
 
     def record_bucketed(
         self,

@@ -18,6 +18,7 @@ import pytest
 from repro.core import mercury_stack
 from repro.errors import ConfigurationError
 from repro.exp.scenarios import get_scenario
+from repro.faults.resilience import DEFAULT_RESILIENCE, ResiliencePolicy
 from repro.faults.schedule import (
     FaultEvent,
     FaultSchedule,
@@ -28,6 +29,7 @@ from repro.sim.fidelity import (
     FidelityPolicy,
     allocate_proportional,
     fault_intervals,
+    held_cores,
     plan_segments,
 )
 from repro.sim.full_system import FullSystemStack
@@ -49,7 +51,11 @@ WORKLOAD = WorkloadSpec(
 )
 
 
-def _run(
+def _run(**kwargs):
+    return _run_stack(**kwargs)[1]
+
+
+def _run_stack(
     seed=1,
     fidelity=None,
     faults=None,
@@ -60,6 +66,7 @@ def _run(
     duration_s=DURATION_S,
     cores=CORES,
     workload=WORKLOAD,
+    resilience=None,
 ):
     options = RunOptions(
         offered_rate_hz=rate_hz,
@@ -70,11 +77,12 @@ def _run(
         energy_summary=energy,
         diurnal=diurnal,
         fidelity=fidelity,
+        resilience=resilience,
     )
     stack = FullSystemStack(
         stack=mercury_stack(cores), memory_per_core_bytes=8 * MB, seed=seed
     )
-    return stack.run(workload, options)
+    return stack, stack.run(workload, options)
 
 
 def _signature(results):
@@ -262,6 +270,28 @@ class TestAllocateProportional:
                 assert all(weights[i] > 0 for i in alloc)
 
 
+class TestHeldCores:
+    def test_only_cores_over_the_guard_are_held(self):
+        # 10 kHz at 100 us is 1.0 in total; shares 0.5/0.3/0.2.
+        held = held_cores([50, 30, 20], 10_000.0, 100e-6, 0.4)
+        assert held == {0: pytest.approx(0.5)}
+
+    def test_guard_is_strict(self):
+        # Binary-exact operands: rho is exactly 0.5 at 1024 Hz.
+        service_s = 2.0**-10
+        assert held_cores([1, 1], 1024.0, service_s, 0.5) == {}
+        held = held_cores([1, 1], 1025.0, service_s, 0.5)
+        assert held == {0: 1025.0 / 2048.0, 1: 1025.0 / 2048.0}
+
+    def test_dropped_cores_are_held_below_the_guard(self):
+        held = held_cores([50, 50], 1_000.0, 100e-6, 0.9, dropped={1})
+        assert held == {1: pytest.approx(0.05)}
+
+    def test_no_arrivals_splits_evenly(self):
+        held = held_cores([0, 0, 0, 0], 40_000.0, 100e-6, 0.9)
+        assert held == {c: pytest.approx(1.0) for c in range(4)}
+
+
 class TestFaultIntervals:
     def test_crash_restart_pair_spans_the_outage(self):
         assert fault_intervals(crash_restart("core0", 1.0, 3.0)) == [
@@ -288,6 +318,8 @@ class TestHybridEquivalence:
         _assert_equivalent(des, hybrid)
         assert hybrid.fidelity["sim_fidelity_fluid_windows_total"] >= 1
         assert "sim_fidelity_fallback_reason" not in hybrid.fidelity
+        # No core held, so the provenance keeps its split-free layout.
+        assert "sim_fidelity_des_cores" not in hybrid.fidelity
 
     def test_crash_restart(self):
         faults = crash_restart("core0", 0.4, 0.6)
@@ -394,6 +426,8 @@ class TestFallbacks:
         )
         assert hybrid.fidelity["sim_fidelity_fallback_reason"] == "saturated"
         assert hybrid.fidelity["sim_fidelity_fluid_seconds_total"] == 0.0
+        held = hybrid.fidelity["sim_fidelity_des_cores"]
+        assert list(held) == ["0"] and held["0"] > 1.0
         assert _signature(hybrid) == _signature(des)
         assert hybrid.rtt_histogram.mean == des.rtt_histogram.mean
 
@@ -407,3 +441,116 @@ class TestFallbacks:
             + prov["sim_fidelity_des_seconds_total"]
         )
         assert total == pytest.approx(DURATION_S)
+
+
+class TestPerCoreFidelity:
+    """One core past the guard at default skew: only it stays DES.
+
+    At 40 kHz the four-core cell's hottest core (it owns the hottest
+    zipf-0.99 key) runs at rho ~1.07 and overflows its MAC buffer; the
+    other three stay under ``max_utilization`` and fold, with their
+    FIFO delays computed per request — so the whole run's latency
+    histograms match DES bucket for bucket.
+    """
+
+    RATE_HZ = 40_000.0
+    POLICY = FidelityPolicy(calibration_s=0.1)
+
+    def _pair(self, resilience=None, seed=1):
+        des_stack, des = _run_stack(
+            seed=seed, rate_hz=self.RATE_HZ, resilience=resilience
+        )
+        hybrid_stack, hybrid = _run_stack(
+            seed=seed,
+            rate_hz=self.RATE_HZ,
+            fidelity=self.POLICY,
+            resilience=resilience,
+        )
+        assert des.mac_drops > 0
+        assert hybrid.failed == des.failed
+        assert hybrid.mac_drops == des.mac_drops
+        assert hybrid.fault_timeouts == des.fault_timeouts
+        assert hybrid.retries == des.retries
+        assert hybrid.failovers == des.failovers
+        assert [s.store.stats for s in hybrid_stack.servers] == [
+            s.store.stats for s in des_stack.servers
+        ]
+        # The held core is the one that owns the hottest zipf key.
+        hot = str(hybrid_stack.core_for_key(b"key-0"))
+        des_cores = hybrid.fidelity["sim_fidelity_des_cores"]
+        assert list(des_cores) == [hot]
+        assert des_cores[hot] > self.POLICY.max_utilization
+        return des, hybrid
+
+    # Seed 2 enters its window with folded cores mid-backlog, so it pins
+    # the hand-over of their DES queues into the FIFO recursion.
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_hot_core_stays_exact_and_the_rest_fold(self, seed):
+        des, hybrid = self._pair(seed=seed)
+        _assert_equivalent(des, hybrid)
+        assert _within(
+            hybrid.rtt_percentile(0.5), des.rtt_percentile(0.5), 0.05
+        )
+        assert hybrid.rtt_histogram.counts == des.rtt_histogram.counts
+        assert hybrid.wait_histogram.counts == des.wait_histogram.counts
+        assert hybrid.per_core_served == des.per_core_served
+
+        prov = hybrid.fidelity
+        assert prov["sim_fidelity_fluid_windows_total"] >= 1
+        assert "sim_fidelity_fallback_reason" not in prov
+
+    def test_retries_on_the_held_core_stay_exact(self):
+        # Retries re-dispatch a dropped request to the same held core
+        # (failover off), drawing only the retry stream.
+        des, hybrid = self._pair(
+            resilience=ResiliencePolicy(failover_after=None)
+        )
+        assert des.retries > 0
+        _assert_equivalent(des, hybrid)
+        assert hybrid.rtt_histogram.counts == des.rtt_histogram.counts
+        assert hybrid.fidelity["sim_fidelity_fluid_windows_total"] >= 1
+        assert "sim_fidelity_fallback_reason" not in hybrid.fidelity
+
+    def test_exact_across_windows_split_by_a_fault_island(self):
+        # The folded backlog goes back into the DES queues at the first
+        # window's exit and is read out again at the second's entry.
+        blip = FaultSchedule(
+            name="blip",
+            events=(
+                FaultEvent(
+                    kind="dram_degradation", at_s=0.5, until_s=0.52, factor=1.05
+                ),
+            ),
+        )
+        des = _run(seed=1, rate_hz=self.RATE_HZ, faults=blip)
+        hybrid = _run(
+            seed=1, rate_hz=self.RATE_HZ, faults=blip, fidelity=self.POLICY
+        )
+        assert hybrid.fidelity["sim_fidelity_fluid_windows_total"] == 2
+        assert _signature(hybrid) == _signature(des)
+        assert (hybrid.failed, hybrid.mac_drops) == (des.failed, des.mac_drops)
+        assert hybrid.rtt_histogram.counts == des.rtt_histogram.counts
+        assert hybrid.wait_histogram.counts == des.wait_histogram.counts
+
+    def test_failover_armed_keeps_the_whole_stack_in_des(self):
+        # Enough drops would fail the hot port over mid-window and move
+        # its keys onto a folded core, so no core is held: the stack
+        # stays DES and reports the hot core it could not hold.
+        des, hybrid = self._pair(resilience=DEFAULT_RESILIENCE)
+        assert des.failovers > 0
+        assert _signature(hybrid) == _signature(des)
+        assert hybrid.rtt_histogram.counts == des.rtt_histogram.counts
+        prov = hybrid.fidelity
+        assert prov["sim_fidelity_fluid_windows_total"] == 0
+        assert prov["sim_fidelity_fallback_reason"] == "saturated"
+
+    def test_double_run_is_identical(self):
+        first = _run(seed=1, rate_hz=self.RATE_HZ, fidelity=self.POLICY)
+        second = _run(seed=1, rate_hz=self.RATE_HZ, fidelity=self.POLICY)
+        assert _signature(second) == _signature(first)
+        assert (second.failed, second.mac_drops) == (
+            first.failed,
+            first.mac_drops,
+        )
+        assert second.rtt_histogram.counts == first.rtt_histogram.counts
+        assert second.fidelity == first.fidelity

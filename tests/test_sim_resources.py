@@ -58,6 +58,58 @@ class TestSingleServer:
             FifoResource(Simulator(), "core", servers=0)
 
 
+class TestFluidHandOver:
+    """``drained_at`` / ``occupy_until``: how a fluid window reads a
+    single-server queue's backlog and hands its own back."""
+
+    def test_drained_at_is_the_next_start_of_a_later_job(self):
+        sim = Simulator()
+        core = FifoResource(sim, "core")
+        assert core.drained_at() == 0.0
+        starts = []
+        for service in (0.3, 0.1, 0.7):
+            core.submit(service, lambda wait: None)
+        sim.run(until=0.2)
+        drained = core.drained_at()
+        core.submit(0.5, lambda wait: starts.append(sim.now))
+        sim.run()
+        # Exact: the same float additions the event loop performs.
+        assert starts == [drained + 0.5]
+        assert drained == (0.3 + 0.1) + 0.7
+
+    def test_drained_at_of_an_idle_queue_is_now(self):
+        sim = Simulator()
+        core = FifoResource(sim, "core")
+        core.submit(1.0, lambda wait: None)
+        sim.run(until=2.5)
+        assert core.drained_at() == 2.5
+
+    def test_occupy_until_queues_later_jobs_without_recording(self):
+        charged = []
+        sim = Simulator()
+        core = FifoResource(
+            sim, "core", busy_observer=lambda s, d: charged.append((s, d))
+        )
+        core.occupy_until(1.5)
+        assert core.busy == 1
+        assert core.drained_at() == 1.5
+        waits = []
+        sim.schedule(0.5, lambda: core.submit(1.0, waits.append))
+        sim.run()
+        assert waits == [1.0]
+        assert sim.now == 2.5
+        assert core.jobs_served == 1
+        assert core.total_service == 1.0
+        assert charged == [(1.5, 1.0)]
+
+    def test_occupy_until_needs_an_idle_server(self):
+        sim = Simulator()
+        core = FifoResource(sim, "core")
+        core.submit(1.0, lambda wait: None)
+        with pytest.raises(SimulationError):
+            core.occupy_until(2.0)
+
+
 class TestMultiServer:
     def test_parallel_servers_overlap(self):
         sim = Simulator()

@@ -114,6 +114,22 @@ class TestStreamingHistogram:
             assert merged.maximum == whole.maximum
         assert left.percentile(0.99) == whole.percentile(0.99)
 
+    def test_record_many_matches_record(self):
+        rng = random.Random(7)
+        values = [rng.lognormvariate(-9, 2) for _ in range(2000)] + [0.0, 1e-12, 1e9]
+        one, many = StreamingHistogram(), StreamingHistogram()
+        for value in values:
+            one.record(value)
+        many.record_many(values)
+        assert many.counts == one.counts
+        assert many.count == one.count == len(values)
+        assert many.total == pytest.approx(one.total, rel=1e-12)
+        assert (many.min_seen, many.max_seen) == (one.min_seen, one.max_seen)
+        many.record_many([])
+        assert many.count == len(values)
+        with pytest.raises(ConfigurationError):
+            many.record_many([-1.0])
+
     def test_merge_rejects_mismatched_buckets(self):
         a = StreamingHistogram("h", buckets_per_decade=10)
         b = StreamingHistogram("h", buckets_per_decade=20)
