@@ -18,7 +18,8 @@ from __future__ import annotations
 
 import math
 from contextlib import nullcontext
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from functools import partial
 
 from repro.core.latency_model import MemorySpec, RequestTiming
 from repro.core.stack import StackConfig
@@ -66,9 +67,9 @@ from repro.telemetry.tracing import NULL_TELEMETRY, TelemetrySession
 #: a digest (matches the paper's 1.1 ms RTT SLA).
 _DIGEST_SLA_DEADLINE_S = 1.1e-3
 
-# Imported lazily inside run(): repro.workloads.generator itself imports
-# repro.sim.rng, and a module-level import here would close that cycle
-# while repro.sim's package init is still running.
+# Imported lazily inside the run: repro.workloads.generator itself
+# imports repro.sim.rng, and a module-level import here would close that
+# cycle while repro.sim's package init is still running.
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -300,19 +301,6 @@ class FullSystemResults:
                 return max(0.0, start_s - after_s)
         return None
 
-    # Component totals kept as named accessors for the Fig. 4 consumers.
-    @property
-    def hash_time_s(self) -> float:
-        return self.component_seconds.get("hash", 0.0)
-
-    @property
-    def memcached_time_s(self) -> float:
-        return self.component_seconds.get("memcached", 0.0)
-
-    @property
-    def network_time_s(self) -> float:
-        return self.component_seconds.get("network", 0.0)
-
     def breakdown_fractions(self) -> dict[str, float]:
         """Measured Fig. 4-style component shares of total service time."""
         total = sum(self.component_seconds.values())
@@ -433,6 +421,8 @@ class _ReplicaFabric:
 
     def node_is_down(self, port: str) -> bool:
         return port in self._down
+
+
 
 
 class FullSystemStack:
@@ -584,1545 +574,40 @@ class FullSystemStack:
         and attributes wall-clock to event types.  All three observe
         without perturbing the simulation.
         """
-        from repro.workloads.generator import WorkloadGenerator
-
-        serve_op = self.serve_op
-        offered_rate_hz = options.offered_rate_hz
-        duration_s = options.duration_s
-        warmup_requests = options.warmup_requests
-        keep_samples = options.keep_samples
-        window_s = options.window_s
-        fill_on_miss = options.fill_on_miss
-        faults = options.faults
-        resilience = options.resilience
-        replication = options.replication
-        telemetry = options.telemetry
-        timeseries = options.timeseries
-        slo = options.slo
-        profiler = options.profiler
-        if telemetry is None:
-            telemetry = NULL_TELEMETRY
-        if options.trace_digest and not telemetry.tracer.enabled:
-            # A digest was requested but no live session attached (the
-            # experiment engine's cached cells run instrument-free):
-            # trace internally with the paper SLA as the tail-sampling
-            # deadline, seeded off the stack seed for reproducibility.
-            telemetry = TelemetrySession(
-                slo_deadline_s=_DIGEST_SLA_DEADLINE_S, sampling_seed=self.seed
-            )
-        registry, tracer = telemetry.registry, telemetry.tracer
-        stack_label = self.stack.name
-        sim = Simulator()
-        if profiler is not None:
-            profiler.attach(sim)
-        if timeseries is not None:
-            timeseries.install(sim, horizon_s=duration_s)
-        if slo is not None:
-            slo.install(sim, horizon_s=duration_s)
-            if tracer.enabled:
-                # Link alerts to representative traces: at fire time the
-                # alert samples the RTT histogram's exemplars from every
-                # bucket reaching past the tightest latency objective.
-                deadlines = [
-                    objective.deadline_s
-                    for objective in slo.objectives.values()
-                    if objective.deadline_s is not None
-                ]
-                if deadlines:
-                    rtt_histogram = registry.histogram("request_rtt_seconds")
-                    exemplar_floor = min(deadlines)
-                    slo.attach_exemplars(
-                        lambda: rtt_histogram.exemplars_above(exemplar_floor)
-                    )
-        slo_record = slo.record if slo is not None else None
-        energy_meter = options.energy
-        if energy_meter is None and options.energy_summary:
-            # A summary was requested but no live meter attached (the
-            # experiment engine's cached cells run instrument-free):
-            # meter internally against this stack's derived power model,
-            # sized to the run's window_s (default: twenty windows).
-            energy_meter = EnergyMeter(
-                DynamicPowerModel.for_stack(self.stack),
-                window_s=(
-                    window_s if window_s is not None else duration_s / 20.0
-                ),
-                registry=registry,
-            )
-        if energy_meter is not None:
-            energy_meter.install(sim, horizon_s=duration_s)
-
-        # Fixed item framing shared with the latency model: the
-        # calibrated default key length, not each request's actual key
-        # bytes, so tiered and baseline runs charge the same item
-        # footprint.
-        item_overhead = ITEM_OVERHEAD_BYTES + self.model.cal.default_key_bytes
-
-        # Per-op activity charges for the energy meter, read from the
-        # op-shape table (see _op_activity).  Core busy energy needs no
-        # per-site hook — the FifoResource busy_observer charges it over
-        # exactly the busy intervals.
-        if energy_meter is not None:
-            _energy_flash = self.stack.flash
-
-            def charge_op_energy(
-                t: float,
-                verb: str,
-                served_bytes: int,
-                tiered_cost=None,
-                wire: bool = True,
-            ) -> None:
-                mem_bytes, wire_bytes, reads, programs, erases = (
-                    self._op_activity(verb, served_bytes)
-                )
-                energy_meter.charge_memory_bytes(t, mem_bytes)
-                if wire:
-                    energy_meter.charge_nic_bytes(t, wire_bytes)
-                if _energy_flash is None:
-                    return
-                if tiered_cost is not None:
-                    # Tiered store: reads cost what the tier probe
-                    # actually touched; log-structured writes amortise
-                    # to the item's share of a page, and erases to that
-                    # share of a block.
-                    if verb == "GET":
-                        energy_meter.charge_flash_reads(
-                            t, float(tiered_cost.pages_read)
-                        )
-                    else:
-                        pages = (
-                            item_overhead + served_bytes
-                        ) / _energy_flash.page_bytes
-                        energy_meter.charge_flash_programs(t, pages)
-                        energy_meter.charge_flash_erases(
-                            t, pages / _energy_flash.pages_per_block
-                        )
-                elif verb == "GET":
-                    energy_meter.charge_flash_reads(t, reads)
-                else:
-                    energy_meter.charge_flash_programs(t, programs)
-                    energy_meter.charge_flash_erases(t, erases)
-
-        else:
-            charge_op_energy = None
-        rng = make_rng("full-system", self.seed)
-        generator = WorkloadGenerator(workload, seed=self.seed)
-        cores = [
-            FifoResource(
-                sim,
-                name=f"core{i}",
-                registry=registry,
-                busy_observer=(
-                    energy_meter.charge_core_busy
-                    if energy_meter is not None
-                    else None
-                ),
-            )
-            for i in range(self.stack.cores)
-        ]
-        for server, core in zip(self.servers, cores):
-            server.attach_queue(core)
-        results = FullSystemResults(
-            duration_s=duration_s,
-            offered_rate_hz=offered_rate_hz,
-            keep_samples=keep_samples,
-            window_s=window_s,
-        )
-        completed_total = registry.counter("requests_completed_total")
-        drops_total = registry.counter("mac_drops_total")
-        hits_total = registry.counter("get_hits_total")
-        misses_total = registry.counter("get_misses_total")
-        puts_total = registry.counter("puts_total")
-        response_bytes_total = registry.counter("response_bytes_total")
-        served_per_core = [
-            registry.counter("requests_served_total", {"core": str(i)})
-            for i in range(self.stack.cores)
-        ]
-        failed_total = registry.counter("requests_failed_total")
-        retries_total = registry.counter("client_retries_total")
-        timeouts_total = registry.counter("client_timeouts_total")
-        failovers_total = registry.counter("client_failovers_total")
-        hedges_total = registry.counter("client_hedged_requests_total")
-
-        policy = resilience
-        retry_rng = make_rng("resilience", self.seed)
-        memory_kind = "flash" if self.model.memory.is_flash else "dram"
-        # The client's live view of the cluster: failover removes nodes
-        # here and health checks re-add them; ``self.ring`` (the MAC's
-        # port map) is never mutated.
-        client_ring = ConsistentHashRing(
-            (str(_BASE_TCP_PORT + i) for i in range(self.stack.cores)), vnodes=128
-        )
-        down_cores: set[int] = set()
-        failed_over: set[str] = set()
-        drops_per_core = [0] * self.stack.cores
-        consecutive_timeouts: dict[str, int] = {}
-
-        repl = replication
-        if repl is not None and repl.n > self.stack.cores:
-            raise ConfigurationError(
-                f"replication factor {repl.n} exceeds the "
-                f"{self.stack.cores}-core stack"
-            )
-        replicated = repl is not None and repl.n > 1
-        batching = options.batching
-        batch_enabled = batching is not None and batching.enabled
-        if batch_enabled and replicated:
-            raise ConfigurationError(
-                "batched dispatch and replication (n > 1) cannot be "
-                "combined in the full-system run; batch against a "
-                "sharded stack"
-            )
-        flashstore_config = options.flashstore
-        tiered_stores: list[TieredFlashStore] | None = None
-        if flashstore_config is not None:
-            if not self.model.memory.is_flash:
-                raise ConfigurationError(
-                    "the tiered flash store needs a flash (Iridium) "
-                    "stack; Mercury keeps its DRAM path"
-                )
-            if replicated:
-                raise ConfigurationError(
-                    "the tiered flash store and replication (n > 1) "
-                    "cannot be combined yet; run sharded"
-                )
-            if batch_enabled:
-                raise ConfigurationError(
-                    "the tiered flash store and batched dispatch cannot "
-                    "be combined yet; run the serial path"
-                )
-            assert self.stack.flash is not None
-            # One tiered store per core, each seeded off (stack seed,
-            # core index) so runs are reproducible and cores differ.
-            tiered_stores = [
-                TieredFlashStore(
-                    self.stack.flash,
-                    flashstore_config,
-                    seed=self.seed,
-                    label=f"core{i}",
-                    registry=registry,
-                )
-                for i in range(self.stack.cores)
-            ]
-            conversion_busy = registry.histogram(
-                "background_busy_seconds", {"task": "conversion"}
-            )
-            compaction_busy = registry.histogram(
-                "background_busy_seconds", {"task": "compaction"}
-            )
-
-            def charge_background(core_index: int, works, trace=None) -> None:
-                """Charge conversion/compaction flash time to the core
-                that triggered it (the tier moves already happened
-                functionally inside the store)."""
-                for work in works:
-                    busy = (
-                        conversion_busy
-                        if work.kind == "conversion"
-                        else compaction_busy
-                    )
-                    busy.record(work.service_s)
-                    if tracer.enabled:
-                        tracer.follow_from(
-                            work.kind,
-                            sim.now,
-                            work.service_s,
-                            node=f"core{core_index}",
-                            stack=stack_label,
-                            trace=trace,
-                        )
-                    if energy_meter is not None:
-                        # Tier moves hit the NAND array: every page the
-                        # move read and rewrote, plus the rewritten
-                        # pages' amortised share of block erases.
-                        energy_meter.charge_flash_reads(
-                            sim.now, float(work.pages_read)
-                        )
-                        energy_meter.charge_flash_programs(
-                            sim.now, float(work.pages_written)
-                        )
-                        energy_meter.charge_flash_erases(
-                            sim.now,
-                            work.pages_written
-                            / self.stack.flash.pages_per_block,
-                        )
-                    cores[core_index].submit(work.service_s, lambda wait: None)
-        if batch_enabled:
-            # One pending-op list per core: the client-side buffer in
-            # front of each node's coalesced frame.  ``open_id`` detects
-            # stale linger timers — a size flush reopens the buffer and
-            # the old timer must not flush the successor batch early.
-            batch_pending: list[list] = [[] for _ in range(self.stack.cores)]
-            batch_open_id = [0] * self.stack.cores
-            batch_flush_total = {
-                reason: registry.counter("batch_flushes_total", {"reason": reason})
-                for reason in (FLUSH_SIZE, FLUSH_LINGER)
-            }
-            batch_ops_counter = registry.counter("batch_ops_total")
-            batch_size_histogram = registry.histogram(
-                "batch_size", min_value=1.0, max_value=float(MAX_BATCH_OPS)
-            )
-        # Background busy-time histograms: simulated core seconds charged
-        # to replication housekeeping, windowed into the time-series
-        # recorder like any other metric so a run's timeline shows the
-        # fault -> hint replay -> anti-entropy -> recovery sequence.
-        hint_replay_busy = registry.histogram(
-            "background_busy_seconds", {"task": "hint_replay"}
-        )
-        antientropy_busy = registry.histogram(
-            "background_busy_seconds", {"task": "antientropy"}
-        )
-        read_repair_busy = registry.histogram(
-            "background_busy_seconds", {"task": "read_repair"}
-        )
-        verify_read_busy = registry.histogram(
-            "background_busy_seconds", {"task": "verify_read"}
-        )
-        replica_put_wait = registry.histogram("replica_put_wait_seconds")
-        down_ports: set[str] = set()
-        placement: ReplicaPlacement | None = None
-        hintq: HintQueue | None = None
-        put_seq = [0]  # the DES's version epoch (hint resolution order)
-        if replicated:
-            # Each core is its own failure domain here — the whole run
-            # is one physical stack — so placement skips by node; the
-            # rack/stack-aware rule matters in the multi-stack client.
-            placement = ReplicaPlacement(
-                self.ring, repl.n, stack_of=lambda port: port
-            )
-            hintq = HintQueue(registry=registry)
-            replica_writes_total = registry.counter(
-                "replication_replica_writes_total"
-            )
-            redirected_total = registry.counter(
-                "replication_redirected_reads_total"
-            )
-            verify_total = registry.counter("replication_verify_reads_total")
-            read_repairs_total = registry.counter(
-                "replication_read_repairs_total"
-            )
-
-        injector: FaultInjector | None = None
-        if faults is not None:
-            injector = FaultInjector(faults, seed=self.seed, registry=registry)
-
-            def crash_core(node: str) -> None:
-                # §2.3: a downed node loses its share of the cache.
-                index = self._core_index(node)
-                down_cores.add(index)
-                down_ports.add(str(_BASE_TCP_PORT + index))
-                self.servers[index].store.flush_all()
-                if tiered_stores is not None:
-                    # The crash also loses the tiers' in-memory indexes,
-                    # so the tiered store restarts empty with its peer.
-                    tiered_stores[index].flush()
-
-            def restart_core(node: str) -> None:
-                index = self._core_index(node)
-                down_cores.discard(index)
-                down_ports.discard(str(_BASE_TCP_PORT + index))
-                if replicated and repl.hinted_handoff:
-                    hints = hintq.drain(str(_BASE_TCP_PORT + index))
-                    if hints:
-                        replay_service = 0.0
-                        for hint in hints:
-                            serve_op(index, hint.key, "PUT", hint.payload)
-                            service = self.model.request_timing(
-                                "PUT", hint.payload
-                            ).total_s
-                            if charge_op_energy is not None:
-                                # Replays are stack-internal: memory and
-                                # flash activity but no client wire.
-                                charge_op_energy(
-                                    sim.now, "PUT", hint.payload, wire=False
-                                )
-                            if tracer.enabled:
-                                # Replay work follows from the PUT that
-                                # parked the hint; laid out back-to-back
-                                # as the burst occupies the core.
-                                tracer.follow_from(
-                                    "handoff_replay",
-                                    sim.now + replay_service,
-                                    service,
-                                    node=f"core{index}",
-                                    stack=stack_label,
-                                    trace=hint.trace_id,
-                                )
-                            replay_service += service
-                        results.hints_replayed += len(hints)
-                        hint_replay_busy.record(replay_service)
-                        # Replay occupies the restarted core like one
-                        # back-to-back burst of PUTs.
-                        cores[index].submit(replay_service, lambda wait: None)
-
-            injector.install(
-                sim, horizon_s=duration_s,
-                on_crash=crash_core, on_restart=restart_core,
-            )
-
-        def adjust_timing(timing: RequestTiming) -> RequestTiming:
-            """``timing`` under the live slowdowns: the injector's
-            memory-degradation factor stretches the memcached stage,
-            then thermal throttle feedback (the derated clock) stretches
-            the on-core stages (hash + memcached).  Wire time is
-            unaffected."""
-            if injector is not None:
-                factor = injector.service_factor(memory_kind)
-                if factor != 1.0:
-                    timing = RequestTiming(
-                        verb=timing.verb,
-                        value_bytes=timing.value_bytes,
-                        hash_s=timing.hash_s,
-                        memcached_s=timing.memcached_s * factor,
-                        network_s=timing.network_s,
-                    )
-            if energy_meter is not None and energy_meter.derate_factor != 1.0:
-                derate = energy_meter.derate_factor
-                timing = RequestTiming(
-                    verb=timing.verb,
-                    value_bytes=timing.value_bytes,
-                    hash_s=timing.hash_s / derate,
-                    memcached_s=timing.memcached_s / derate,
-                    network_s=timing.network_s,
-                )
-            return timing
-
-        if replicated and repl.anti_entropy_interval_s is not None:
-            fabric = _ReplicaFabric(
-                {
-                    str(_BASE_TCP_PORT + i): server.store
-                    for i, server in enumerate(self.servers)
-                },
-                placement,
-                down_ports,
-            )
-            sweeper = AntiEntropySweeper(
-                fabric,
-                buckets=repl.anti_entropy_buckets,
-                max_repairs_per_sweep=repl.max_repairs_per_sweep,
-                registry=registry,
-            )
-            ae_interval = repl.anti_entropy_interval_s
-
-            def antientropy_fire(t: float) -> None:
-                report = sweeper.sweep()
-                results.antientropy_sweeps += 1
-                results.antientropy_repairs += report.repairs
-                for port, count in sorted(report.repairs_by_node.items()):
-                    # Charge each receiving core the service time of its
-                    # repair writes (functional copies already landed).
-                    mean_bytes = report.bytes_by_node[port] // count
-                    service = (
-                        self.model.request_timing("PUT", mean_bytes).total_s * count
-                    )
-                    antientropy_busy.record(service)
-                    if charge_op_energy is not None:
-                        # Repair writes are stack-internal (no client
-                        # wire); count is bounded by the sweeper's
-                        # max_repairs_per_sweep.
-                        for _ in range(count):
-                            charge_op_energy(t, "PUT", mean_bytes, wire=False)
-                    if tracer.enabled:
-                        # Sweeps repair keys from many writers: no
-                        # single originating trace to link.
-                        tracer.follow_from(
-                            "antientropy",
-                            t,
-                            service,
-                            node=f"core{int(port) - _BASE_TCP_PORT}",
-                            stack=stack_label,
-                        )
-                    cores[int(port) - _BASE_TCP_PORT].submit(
-                        service, lambda wait: None
-                    )
-
-            sim.recurring(ae_interval, antientropy_fire, duration_s)
-
-        def try_readmit(port: str) -> None:
-            """Health check: re-add a failed-over node once it is up."""
-            if port not in failed_over:
-                return
-            if self._core_index(port) not in down_cores:
-                failed_over.discard(port)
-                client_ring.add_node(port)
-                consecutive_timeouts[port] = 0
-            elif sim.now < duration_s:
-                sim.schedule(
-                    policy.health_check_interval_s, lambda: try_readmit(port)
-                )
-
-        def fail_over(port: str) -> None:
-            if port in failed_over or len(client_ring) <= 1:
-                return
-            failed_over.add(port)
-            client_ring.remove_node(port)
-            results.failovers += 1
-            failovers_total.inc()
-            if sim.now < duration_s:
-                sim.schedule(
-                    policy.health_check_interval_s, lambda: try_readmit(port)
-                )
-
-        def give_up(request, state) -> None:
-            results.failed += 1
-            failed_total.inc()
-            if slo_record is not None:
-                slo_record(sim.now, ok=False)
-            if tracer.enabled:
-                # Error traces are always retained by tail sampling.
-                trace = state["trace"]
-                trace.annotate(
-                    verb=request.verb,
-                    error="gave_up",
-                    attempts=state["attempts"],
-                )
-                trace.finish(sim.now)
-                tracer.commit(trace)
-            if request.verb == "GET":
-                results.note_window_get(state["arrival"], hit=False)
-
-        def timed_out(request, state, attempt: int, port: str) -> None:
-            results.fault_timeouts += 1
-            timeouts_total.inc()
-            consecutive_timeouts[port] = consecutive_timeouts.get(port, 0) + 1
-            if policy is not None and policy.should_fail_over(
-                consecutive_timeouts[port]
-            ):
-                fail_over(port)
-            if policy is not None and attempt + 1 < policy.max_attempts:
-                results.retries += 1
-                retries_total.inc()
-                delay = policy.request_timeout_s + policy.backoff_s(
-                    attempt, retry_rng
-                )
-                sim.schedule(delay, lambda: dispatch(request, state, attempt + 1))
-            else:
-                give_up(request, state)
-
-        def serve(
-            request, state, core_index: int, port: str, via: str | None = None
-        ) -> None:
-            arrival = state["arrival"]
-            dispatched = sim.now
-            hit, response_len = serve_op(
-                core_index, request.key, request.verb, request.value_bytes
-            )
-            tiered = (
-                tiered_stores[core_index] if tiered_stores is not None else None
-            )
-            tiered_cost = None
-            if tiered is not None:
-                # Mirror the op against this core's tiered store: the
-                # functional outcome stays the plain store's (so runs
-                # with the tier on/off match request for request), the
-                # *cost* becomes the tiers' measured flash work.
-                if request.verb == "GET":
-                    tiered_cost = tiered.get(request.key)
-                else:
-                    tiered_cost = tiered.put(
-                        request.key, item_overhead + request.value_bytes
-                    )
-                if tiered_cost.background:
-                    charge_background(
-                        core_index, tiered_cost.background, state["trace"]
-                    )
-            if replicated and request.verb == "GET" and not hit:
-                # Quorum read: the coordinator consults R replicas and
-                # any copy answers — a replica that misses while a live
-                # peer holds the key is read-repaired with that copy.
-                for peer_port in placement.replicas_for(request.key):
-                    peer_core = int(peer_port) - _BASE_TCP_PORT
-                    if peer_core == core_index or peer_core in down_cores:
-                        continue
-                    if self.servers[peer_core].store.peek(request.key) is None:
-                        continue
-                    hit, response_len = serve_op(
-                        peer_core, request.key, "GET", request.value_bytes
-                    )
-                    if hit:
-                        serve_op(
-                            core_index, request.key, "PUT", request.value_bytes
-                        )
-                        results.read_repairs += 1
-                        read_repairs_total.inc()
-                        # The repair write occupies the lagging core.
-                        repair_service = self.model.request_timing(
-                            "PUT", request.value_bytes
-                        ).total_s
-                        read_repair_busy.record(repair_service)
-                        if charge_op_energy is not None:
-                            # Internal repair write: no client wire.
-                            charge_op_energy(
-                                sim.now, "PUT", request.value_bytes, wire=False
-                            )
-                        if tracer.enabled:
-                            tracer.follow_from(
-                                "read_repair",
-                                sim.now,
-                                repair_service,
-                                node=f"core{core_index}",
-                                stack=stack_label,
-                                trace=state["trace"],
-                            )
-                        cores[core_index].submit(repair_service, lambda wait: None)
-                    break
-            if fill_on_miss and request.verb == "GET" and not hit:
-                # Cache-aside refill: the application fetches the value
-                # from its backing store and re-caches it (functional
-                # only; the DB round trip is outside the simulated SLA).
-                if replicated:
-                    for fill_port in placement.replicas_for(request.key):
-                        fill_core = int(fill_port) - _BASE_TCP_PORT
-                        if fill_core not in down_cores:
-                            serve_op(
-                                fill_core, request.key, "PUT", request.value_bytes
-                            )
-                else:
-                    serve_op(core_index, request.key, "PUT", request.value_bytes)
-                    if tiered is not None:
-                        # The refill lands in the tiers too (free, like
-                        # the plain functional PUT), but any conversion
-                        # it tips over is real background flash work.
-                        refill = tiered.put(
-                            request.key, item_overhead + request.value_bytes
-                        )
-                        if refill.background:
-                            charge_background(
-                                core_index, refill.background, state["trace"]
-                            )
-            if replicated and request.verb == "GET":
-                preferred = placement.replicas_for(request.key)
-                if port != preferred[0]:
-                    results.redirected_reads += 1
-                    redirected_total.inc()
-            served_bytes = response_len if request.verb == "GET" else request.value_bytes
-            if tiered_cost is not None:
-                timing = self.model.request_timing_tiered(
-                    request.verb, served_bytes, tiered_cost.service_s
-                )
-            else:
-                timing = self.model.request_timing(request.verb, served_bytes)
-            timing = adjust_timing(timing)
-            if charge_op_energy is not None:
-                charge_op_energy(sim.now, request.verb, served_bytes, tiered_cost)
-            trace = state["trace"]
-            node_label = f"core{core_index}"
-
-            def complete(wait: float) -> None:
-                if state["done"]:
-                    # A hedged twin already answered: the losing branch
-                    # is causally linked but outside the trace, so the
-                    # RTT identity over the span tree survives.
-                    if tracer.enabled:
-                        tracer.follow_from(
-                            "hedge_straggler" if via == "hedge" else "straggler",
-                            dispatched,
-                            sim.now - dispatched,
-                            node=node_label,
-                            stack=stack_label,
-                            kind="client",
-                            trace=trace,
-                        )
-                    return
-                state["done"] = True
-                consecutive_timeouts[port] = 0
-                if request.verb == "GET":
-                    if hit:
-                        results.get_hits += 1
-                        hits_total.inc()
-                    else:
-                        results.get_misses += 1
-                        misses_total.inc()
-                    results.note_window_get(arrival, hit)
-                else:
-                    results.puts += 1
-                    puts_total.inc()
-                results.response_bytes += response_len
-                response_bytes_total.inc(response_len)
-                if sim.now <= duration_s:
-                    results.record(sim.now - arrival, wait)
-                    completed_total.inc()
-                    if slo_record is not None:
-                        slo_record(sim.now, latency_s=sim.now - arrival, ok=True)
-                    results.component_seconds["hash"] += timing.hash_s
-                    results.component_seconds["memcached"] += timing.memcached_s
-                    results.component_seconds["network"] += timing.network_s
-                    results.per_core_served[core_index] = (
-                        results.per_core_served.get(core_index, 0) + 1
-                    )
-                    served_per_core[core_index].inc()
-                    if tracer.enabled:
-                        # The span tree retraces the request's path: any
-                        # client retry / hedge wait as a root interval,
-                        # then the MAC queue and the latency model's
-                        # network / hash-lookup / memcached stages — as
-                        # roots on the plain path (the flat Fig. 4
-                        # layout), or nested under a "hedge" wrapper
-                        # when the winning attempt was the hedged twin.
-                        trace.annotate(
-                            core=core_index,
-                            verb=request.verb,
-                            value_bytes=served_bytes,
-                            hit=hit,
-                        )
-                        if state["attempts"] > 1:
-                            trace.annotate(attempts=state["attempts"])
-                        parent = None
-                        if via == "hedge":
-                            if dispatched > arrival:
-                                trace.add_span(
-                                    "hedge_wait",
-                                    arrival,
-                                    dispatched - arrival,
-                                    kind="client",
-                                    node="client",
-                                    stack=stack_label,
-                                )
-                            parent = trace.add_span(
-                                "hedge",
-                                dispatched,
-                                sim.now - dispatched,
-                                kind="client",
-                                node=node_label,
-                                stack=stack_label,
-                            )
-                        elif dispatched > arrival:
-                            trace.add_span(
-                                "retry",
-                                arrival,
-                                dispatched - arrival,
-                                kind="client",
-                                node="client",
-                                stack=stack_label,
-                            )
-                        trace.add_span(
-                            "queue",
-                            dispatched,
-                            wait,
-                            parent=parent,
-                            kind="server",
-                            node=node_label,
-                            stack=stack_label,
-                        )
-                        served_at = dispatched + wait
-                        trace.add_span(
-                            "network",
-                            served_at,
-                            timing.network_s,
-                            parent=parent,
-                            kind="server",
-                            node=node_label,
-                            stack=stack_label,
-                        )
-                        trace.add_span(
-                            "hash",
-                            served_at + timing.network_s,
-                            timing.hash_s,
-                            parent=parent,
-                            kind="server",
-                            node=node_label,
-                            stack=stack_label,
-                        )
-                        mc_span = trace.add_span(
-                            "memcached",
-                            served_at + timing.network_s + timing.hash_s,
-                            timing.memcached_s,
-                            parent=parent,
-                            kind="server",
-                            node=node_label,
-                            stack=stack_label,
-                        )
-                        if tiered_cost is not None and tiered_cost.probes:
-                            # Per-tier flash intervals nest inside the
-                            # memcached stage (where the tiered timing
-                            # folded them), laid back to back in probe
-                            # order: log, hash stores, sorted.
-                            probe_at = (
-                                served_at + timing.network_s + timing.hash_s
-                            )
-                            for tier_name, seconds in tiered_cost.probes:
-                                trace.add_span(
-                                    f"flash_{tier_name}",
-                                    probe_at,
-                                    seconds,
-                                    parent=mc_span,
-                                    kind="server",
-                                    node=node_label,
-                                    stack=stack_label,
-                                )
-                                probe_at += seconds
-                        for v_start, v_duration, v_core in state.get(
-                            "verify_spans", ()
-                        ):
-                            # Verify reads nest only while they fit the
-                            # trace interval; late finishers become
-                            # follow-from spans to keep every span
-                            # inside its parent.
-                            if v_start + v_duration <= sim.now + 1e-12:
-                                trace.add_span(
-                                    "verify_read",
-                                    v_start,
-                                    v_duration,
-                                    kind="server",
-                                    node=f"core{v_core}",
-                                    stack=stack_label,
-                                )
-                            else:
-                                tracer.follow_from(
-                                    "verify_read",
-                                    v_start,
-                                    v_duration,
-                                    node=f"core{v_core}",
-                                    stack=stack_label,
-                                    trace=trace,
-                                )
-                        trace.finish(sim.now)
-                        tracer.commit(trace)
-
-            cores[core_index].submit(timing.total_s, complete)
-
-            if (
-                replicated
-                and repl.r > 1
-                and request.verb == "GET"
-                and not state.get("verified", False)
-            ):
-                # Read-quorum cost: the coordinator also consults r-1
-                # more replicas.  Their replies don't gate the RTT (the
-                # fastest copy answers the caller) but the reads occupy
-                # those replicas' cores.
-                state["verified"] = True
-                extra = 0
-                for verify_port in placement.replicas_for(request.key):
-                    if extra == repl.r - 1:
-                        break
-                    if verify_port == port:
-                        continue
-                    verify_core = int(verify_port) - _BASE_TCP_PORT
-                    if verify_core in down_cores:
-                        continue
-                    verify_timing = self.model.request_timing(
-                        "GET", request.value_bytes
-                    )
-                    verify_read_busy.record(verify_timing.total_s)
-                    if charge_op_energy is not None:
-                        # Internal quorum read: no client wire.
-                        charge_op_energy(
-                            sim.now, "GET", request.value_bytes, wire=False
-                        )
-                    if tracer.enabled:
-                        # Parked until the winning attempt commits; the
-                        # service interval is known now, the queue wait
-                        # is deliberately ignored (the reply does not
-                        # gate the caller).
-                        state.setdefault("verify_spans", []).append(
-                            (sim.now, verify_timing.total_s, verify_core)
-                        )
-                    cores[verify_core].submit(
-                        verify_timing.total_s, lambda wait: None
-                    )
-                    results.verify_reads += 1
-                    verify_total.inc()
-                    extra += 1
-
-            if (
-                policy is not None
-                and policy.hedge_after_s is not None
-                and request.verb == "GET"
-            ):
-                def hedge() -> None:
-                    if state["done"]:
-                        return
-                    if replicated:
-                        # Hedge to the key's next replica — the node
-                        # that actually holds a copy.
-                        preferred = placement.replicas_for(request.key)
-                        start = (
-                            preferred.index(port) if port in preferred else -1
-                        )
-                        alt = None
-                        for offset in range(1, len(preferred)):
-                            candidate = preferred[(start + offset) % len(preferred)]
-                            if self._core_index(candidate) not in down_cores:
-                                alt = candidate
-                                break
-                        if alt is None:
-                            return
-                    else:
-                        if len(client_ring) < 2:
-                            return
-                        nodes = sorted(client_ring.nodes)
-                        try:
-                            alt = nodes[(nodes.index(port) + 1) % len(nodes)]
-                        except ValueError:  # primary failed over meanwhile
-                            alt = nodes[0]
-                    alt_core = self._core_index(alt)
-                    if alt_core in down_cores:
-                        return
-                    if (
-                        self.max_queue_per_core is not None
-                        and cores[alt_core].queue_depth >= self.max_queue_per_core
-                    ):
-                        return
-                    results.hedges += 1
-                    hedges_total.inc()
-                    serve(request, state, alt_core, alt, via="hedge")
-
-                sim.schedule(policy.hedge_after_s, hedge)
-
-        def put_copy_resolved(
-            request, state, copy_state, attempt: int,
-            ok: bool, wait: float, response_len: int,
-        ) -> None:
-            """One replica copy of a fanned PUT finished (or timed out)."""
-            copy_state["resolved"] += 1
-            if ok:
-                copy_state["acks"] += 1
-                if (
-                    copy_state["acks"] == copy_state["need"]
-                    and not state["done"]
-                ):
-                    # The W-th ack completes the logical PUT.
-                    state["done"] = True
-                    results.puts += 1
-                    puts_total.inc()
-                    results.response_bytes += response_len
-                    response_bytes_total.inc(response_len)
-                    if sim.now <= duration_s:
-                        results.record(sim.now - state["arrival"], wait)
-                        completed_total.inc()
-                        if slo_record is not None:
-                            slo_record(
-                                sim.now,
-                                latency_s=sim.now - state["arrival"],
-                                ok=True,
-                            )
-                        if tracer.enabled:
-                            trace = state["trace"]
-                            trace.annotate(
-                                verb="PUT",
-                                value_bytes=request.value_bytes,
-                                acks=copy_state["acks"],
-                                replicas=copy_state["total"],
-                            )
-                            if state["attempts"] > 1:
-                                trace.annotate(attempts=state["attempts"])
-                            trace.finish(sim.now)
-                            tracer.commit(trace)
-            if (
-                copy_state["resolved"] == copy_state["total"]
-                and not state["done"]
-            ):
-                # Every copy resolved and the quorum never formed.
-                if policy is not None and attempt + 1 < policy.max_attempts:
-                    results.retries += 1
-                    retries_total.inc()
-                    delay = policy.backoff_s(attempt, retry_rng)
-                    sim.schedule(
-                        delay, lambda: dispatch(request, state, attempt + 1)
-                    )
-                else:
-                    give_up(request, state)
-
-        def send_put_copy(
-            request, state, copy_state, port: str, attempt: int, version: int
-        ) -> None:
-            """Fan one physical copy of a PUT to one replica core."""
-            core_index = int(port) - _BASE_TCP_PORT
-            down = core_index in down_cores
-            lost = down
-            if not lost and injector is not None and (
-                injector.should_drop() or injector.should_corrupt()
-            ):
-                lost = True
-            if not lost and (
-                self.max_queue_per_core is not None
-                and cores[core_index].queue_depth >= self.max_queue_per_core
-            ):
-                results.mac_drops += 1
-                drops_total.inc()
-                lost = True
-            if lost:
-                if down and repl.hinted_handoff:
-                    if hintq.park(
-                        port,
-                        request.key,
-                        version,
-                        request.value_bytes,
-                        trace_id=(
-                            state["trace"].request_id if tracer.enabled else None
-                        ),
-                    ):
-                        results.hints_queued += 1
-                        if tracer.enabled and state["trace"].end_s is None:
-                            # An instant producer span: the copy was
-                            # parked, its replay follows from this
-                            # trace at the node's restart.
-                            state["trace"].add_span(
-                                "hint",
-                                sim.now,
-                                0.0,
-                                kind="producer",
-                                node=f"core{core_index}",
-                                stack=stack_label,
-                            )
-                results.fault_timeouts += 1
-                timeouts_total.inc()
-                consecutive_timeouts[port] = consecutive_timeouts.get(port, 0) + 1
-                if policy is not None and policy.should_fail_over(
-                    consecutive_timeouts[port]
-                ):
-                    fail_over(port)
-                timeout = (
-                    policy.request_timeout_s if policy is not None else 0.0
-                )
-                sim.schedule(
-                    timeout,
-                    lambda: put_copy_resolved(
-                        request, state, copy_state, attempt,
-                        ok=False, wait=0.0, response_len=0,
-                    ),
-                )
-                return
-            _hit, response_len = serve_op(
-                core_index, request.key, "PUT", request.value_bytes
-            )
-            timing = adjust_timing(
-                self.model.request_timing("PUT", request.value_bytes)
-            )
-            if charge_op_energy is not None:
-                # Each physical copy moves over the wire and through
-                # memory like its own PUT.
-                charge_op_energy(sim.now, "PUT", request.value_bytes)
-            results.replica_puts += 1
-            replica_writes_total.inc()
-            dispatched = sim.now
-            node_label = f"core{core_index}"
-
-            def complete(wait: float) -> None:
-                consecutive_timeouts[port] = 0
-                replica_put_wait.record(wait)
-                if sim.now <= duration_s:
-                    results.component_seconds["hash"] += timing.hash_s
-                    results.component_seconds["memcached"] += timing.memcached_s
-                    results.component_seconds["network"] += timing.network_s
-                    results.per_core_served[core_index] = (
-                        results.per_core_served.get(core_index, 0) + 1
-                    )
-                    served_per_core[core_index].inc()
-                if tracer.enabled:
-                    trace = state["trace"]
-                    if trace.end_s is None:
-                        # This copy resolves before the W-th ack, so its
-                        # whole chain nests inside the logical PUT: one
-                        # wrapper per replica, pipeline stages beneath.
-                        wrapper = trace.add_span(
-                            "replica_put",
-                            dispatched,
-                            sim.now - dispatched,
-                            kind="server",
-                            node=node_label,
-                            stack=stack_label,
-                        )
-                        trace.add_span(
-                            "queue",
-                            dispatched,
-                            wait,
-                            parent=wrapper,
-                            kind="server",
-                            node=node_label,
-                            stack=stack_label,
-                        )
-                        served_at = dispatched + wait
-                        trace.add_span(
-                            "network",
-                            served_at,
-                            timing.network_s,
-                            parent=wrapper,
-                            kind="server",
-                            node=node_label,
-                            stack=stack_label,
-                        )
-                        trace.add_span(
-                            "hash",
-                            served_at + timing.network_s,
-                            timing.hash_s,
-                            parent=wrapper,
-                            kind="server",
-                            node=node_label,
-                            stack=stack_label,
-                        )
-                        trace.add_span(
-                            "memcached",
-                            served_at + timing.network_s + timing.hash_s,
-                            timing.memcached_s,
-                            parent=wrapper,
-                            kind="server",
-                            node=node_label,
-                            stack=stack_label,
-                        )
-                    else:
-                        # Acks past W land after the PUT completed.
-                        tracer.follow_from(
-                            "replica_put_straggler",
-                            dispatched,
-                            sim.now - dispatched,
-                            node=node_label,
-                            stack=stack_label,
-                            kind="server",
-                            trace=trace,
-                        )
-                put_copy_resolved(
-                    request, state, copy_state, attempt,
-                    ok=True, wait=wait, response_len=response_len,
-                )
-
-            cores[core_index].submit(timing.total_s, complete)
-
-        def dispatch_replicated_put(request, state, attempt: int) -> None:
-            """Fan a logical PUT to its preferred list (W-quorum)."""
-            state["attempts"] = attempt + 1
-            preferred = placement.replicas_for(request.key)
-            put_seq[0] += 1
-            copy_state = {
-                "acks": 0,
-                "resolved": 0,
-                "total": len(preferred),
-                "need": min(repl.w, len(preferred)),
-            }
-            for port in preferred:
-                send_put_copy(
-                    request, state, copy_state, port, attempt, put_seq[0]
-                )
-
-        def dispatch(request, state, attempt: int) -> None:
-            """One attempt of one logical request (``attempt`` 0-based)."""
-            if replicated and request.verb != "GET":
-                dispatch_replicated_put(request, state, attempt)
-                return
-            state["attempts"] = attempt + 1
-            if replicated:
-                # Read path: walk the key's preferred list, skipping
-                # failed-over members; retries rotate to the next
-                # replica instead of hammering the same node.
-                preferred = placement.replicas_for(request.key)
-                candidates = [
-                    p for p in preferred if p not in failed_over
-                ] or list(preferred)
-                port = candidates[attempt % len(candidates)]
-            else:
-                if len(client_ring) == 0:
-                    give_up(request, state)
-                    return
-                port = client_ring.node_for(request.key)
-            core_index = int(port) - _BASE_TCP_PORT
-
-            lost = False
-            if injector is not None:
-                if core_index in down_cores:
-                    lost = True
-                elif injector.should_drop() or injector.should_corrupt():
-                    lost = True
-            if not lost and (
-                self.max_queue_per_core is not None
-                and cores[core_index].queue_depth >= self.max_queue_per_core
-            ):
-                # MAC buffer full for this core: the packet is dropped
-                # and the client sees it as a timeout.
-                results.mac_drops += 1
-                drops_per_core[core_index] += 1
-                drops_total.inc()
-                lost = True
-            if lost:
-                timed_out(request, state, attempt, port)
-                return
-            serve(request, state, core_index, port)
-
-        def flush_batch(core_index: int, reason: str) -> None:
-            """Ship one core's pending ops as a single coalesced frame."""
-            ops = batch_pending[core_index]
-            if not ops:
-                return
-            batch_pending[core_index] = []
-            batch_open_id[core_index] += 1
-            port = str(_BASE_TCP_PORT + core_index)
-            # The whole batch rides one packet train: a down core, an
-            # injected drop, or a full MAC queue loses every op in it
-            # together.  Each op then retries down the serial path —
-            # coalescing is a fast path, not a reliability change.
-            lost = False
-            if injector is not None:
-                if core_index in down_cores:
-                    lost = True
-                elif injector.should_drop() or injector.should_corrupt():
-                    lost = True
-            if not lost and (
-                self.max_queue_per_core is not None
-                and cores[core_index].queue_depth >= self.max_queue_per_core
-            ):
-                results.mac_drops += 1
-                drops_total.inc()
-                lost = True
-            if lost:
-                for request, state in ops:
-                    timed_out(request, state, 0, port)
-                return
-            results.batches += 1
-            results.batched_ops += len(ops)
-            results.batch_flush_reasons[reason] = (
-                results.batch_flush_reasons.get(reason, 0) + 1
-            )
-            batch_flush_total[reason].inc()
-            batch_ops_counter.inc(len(ops))
-            batch_size_histogram.record(float(len(ops)))
-            dispatched = sim.now
-            node_label = f"core{core_index}"
-            outcomes = []
-            timing_ops = []
-            for request, state in ops:
-                state["attempts"] = 1
-                hit, response_len = serve_op(
-                    core_index, request.key, request.verb, request.value_bytes
-                )
-                if fill_on_miss and request.verb == "GET" and not hit:
-                    serve_op(core_index, request.key, "PUT", request.value_bytes)
-                served_bytes = (
-                    response_len if request.verb == "GET" else request.value_bytes
-                )
-                if charge_op_energy is not None:
-                    # Every rider moves its own item and wire payload;
-                    # only the per-request framing the batch coalesces
-                    # away is saved (matching batch_timing's model).
-                    charge_op_energy(sim.now, request.verb, served_bytes)
-                outcomes.append((request, state, hit, response_len, served_bytes))
-                timing_ops.append((request.verb, served_bytes))
-            timing = adjust_timing(self.model.batch_timing(timing_ops))
-
-            def complete(wait: float) -> None:
-                served_at = dispatched + wait
-                for request, state, hit, response_len, _served in outcomes:
-                    state["done"] = True
-                    if request.verb == "GET":
-                        if hit:
-                            results.get_hits += 1
-                            hits_total.inc()
-                        else:
-                            results.get_misses += 1
-                            misses_total.inc()
-                        results.note_window_get(state["arrival"], hit)
-                    else:
-                        results.puts += 1
-                        puts_total.inc()
-                    results.response_bytes += response_len
-                    response_bytes_total.inc(response_len)
-                if sim.now > duration_s:
-                    return
-                # The batch occupies the core once: component seconds
-                # and the served counter charge per batch/op exactly as
-                # the latency model splits them, while every rider gets
-                # its own RTT sample back to its own arrival.
-                results.component_seconds["hash"] += timing.hash_s
-                results.component_seconds["memcached"] += timing.memcached_s
-                results.component_seconds["network"] += timing.network_s
-                results.per_core_served[core_index] = (
-                    results.per_core_served.get(core_index, 0) + len(outcomes)
-                )
-                served_per_core[core_index].inc(len(outcomes))
-                for request, state, hit, response_len, served_bytes in outcomes:
-                    arrival = state["arrival"]
-                    results.record(sim.now - arrival, wait)
-                    completed_total.inc()
-                    if slo_record is not None:
-                        slo_record(sim.now, latency_s=sim.now - arrival, ok=True)
-                    if tracer.enabled:
-                        # Per-rider span tree: the time spent waiting
-                        # for the batch to fill, then a "batch" wrapper
-                        # holding the shared pipeline stages.
-                        trace = state["trace"]
-                        trace.annotate(
-                            core=core_index,
-                            verb=request.verb,
-                            value_bytes=served_bytes,
-                            hit=hit,
-                            batch_size=len(outcomes),
-                            batch_flush=reason,
-                        )
-                        if dispatched > arrival:
-                            trace.add_span(
-                                "batch_wait",
-                                arrival,
-                                dispatched - arrival,
-                                kind="client",
-                                node="client",
-                                stack=stack_label,
-                            )
-                        parent = trace.add_span(
-                            "batch",
-                            dispatched,
-                            sim.now - dispatched,
-                            kind="server",
-                            node=node_label,
-                            stack=stack_label,
-                        )
-                        trace.add_span(
-                            "queue",
-                            dispatched,
-                            wait,
-                            parent=parent,
-                            kind="server",
-                            node=node_label,
-                            stack=stack_label,
-                        )
-                        trace.add_span(
-                            "network",
-                            served_at,
-                            timing.network_s,
-                            parent=parent,
-                            kind="server",
-                            node=node_label,
-                            stack=stack_label,
-                        )
-                        trace.add_span(
-                            "hash",
-                            served_at + timing.network_s,
-                            timing.hash_s,
-                            parent=parent,
-                            kind="server",
-                            node=node_label,
-                            stack=stack_label,
-                        )
-                        trace.add_span(
-                            "memcached",
-                            served_at + timing.network_s + timing.hash_s,
-                            timing.memcached_s,
-                            parent=parent,
-                            kind="server",
-                            node=node_label,
-                            stack=stack_label,
-                        )
-                        trace.finish(sim.now)
-                        tracer.commit(trace)
-
-            cores[core_index].submit(timing.total_s, complete)
-
-        def batch_enqueue(request, state) -> None:
-            """Buffer one arrival behind its key's core; flush on size
-            or on the linger deadline, whichever lands first."""
-            if len(client_ring) == 0:
-                give_up(request, state)
-                return
-            port = client_ring.node_for(request.key)
-            core_index = int(port) - _BASE_TCP_PORT
-            pending = batch_pending[core_index]
-            pending.append((request, state))
-            if len(pending) >= batching.batch_max:
-                flush_batch(core_index, FLUSH_SIZE)
-            elif len(pending) == 1:
-                open_id = batch_open_id[core_index]
-
-                def linger_fire() -> None:
-                    if batch_open_id[core_index] == open_id:
-                        flush_batch(core_index, FLUSH_LINGER)
-
-                sim.schedule(batching.linger_s, linger_fire)
-
-        diurnal = options.diurnal
-
-        def arrival_delay() -> float:
-            # Without a diurnal schedule the draw is untouched, so the
-            # RNG stream (and every downstream outcome) stays
-            # bit-identical to pre-diurnal runs.
-            if diurnal is None:
-                return rng.expovariate(offered_rate_hz)
-            return rng.expovariate(offered_rate_hz * diurnal.factor(sim.now))
-
-        def arrive() -> None:
-            if sim.now >= duration_s:
-                return
-            request = generator.next_request()
-            # The trace opens at arrival so every attempt — retries,
-            # hedges, replica fan-out — shares one causal context.
-            state = {
-                "done": False,
-                "arrival": sim.now,
-                "attempts": 0,
-                "trace": tracer.begin(sim.now, verb=request.verb),
-            }
-            if batch_enabled:
-                batch_enqueue(request, state)
-            else:
-                dispatch(request, state, 0)
-            sim.schedule(arrival_delay(), arrive)
-
-        warm_span = (
-            profiler.span("warmup") if profiler is not None else nullcontext()
-        )
-        with warm_span:
-            for _ in range(warmup_requests):
-                request = generator.next_request()
-                if replicated:
-                    for warm_port in placement.replicas_for(request.key):
-                        serve_op(
-                            int(warm_port) - _BASE_TCP_PORT,
-                            request.key, "PUT", request.value_bytes,
-                        )
-                else:
-                    warm_core = self.core_for_key(request.key)
-                    serve_op(warm_core, request.key, "PUT", request.value_bytes)
-                    if tiered_stores is not None:
-                        tiered_stores[warm_core].put(
-                            request.key, item_overhead + request.value_bytes
-                        )
-        if tiered_stores is not None:
-            # Warmup populated the tiers outside simulated time; meter
-            # only the measured run (registry counters start clean).
-            for tiered in tiered_stores:
-                tiered.reset_stats()
-                tiered.metered = True
-
+        run = _RunState(self, workload, options)
+        run.warm_up()
         fidelity = options.fidelity
-        structural_reason: str | None = None
+        block = None
         if fidelity is not None and fidelity.mode != "full":
             # Structural features whose event-level interleaving is the
-            # phenomenon under study (quorum fan-out, frame coalescing,
-            # tier probes, hedged twins, span trees, exact order
-            # statistics) cannot be folded analytically; the run
-            # degrades to full DES and records why.
-            if replicated:
-                structural_reason = "replication"
-            elif batch_enabled:
-                structural_reason = "batching"
-            elif tiered_stores is not None:
-                structural_reason = "flashstore"
-            elif policy is not None and policy.hedge_after_s is not None:
-                structural_reason = "hedging"
-            elif tracer.enabled:
-                structural_reason = "tracing"
-            elif keep_samples:
-                structural_reason = "keep_samples"
-
-        if (
-            fidelity is None
-            or fidelity.mode == "full"
-            or structural_reason is not None
-        ):
+            # phenomenon under study cannot be folded analytically; the
+            # run degrades to full DES and records why.
+            block = run.fluid_block()
+        if fidelity is None or fidelity.mode == "full" or block is not None:
             # Pure DES: the historical path, event for event.
-            sim.schedule(arrival_delay(), arrive)
-            sim.run()
+            run.start_arrivals()
+            run.sim.run()
             if fidelity is not None:
-                registry.counter("sim_fidelity_des_seconds_total").inc(
-                    duration_s
+                run.registry.counter("sim_fidelity_des_seconds_total").inc(
+                    run.duration_s
                 )
-                results.fidelity = {
+                run.results.fidelity = {
                     "sim_fidelity_mode": fidelity.mode,
                     "sim_fidelity_fluid_windows_total": 0,
                     "sim_fidelity_fluid_seconds_total": 0.0,
-                    "sim_fidelity_des_seconds_total": duration_s,
+                    "sim_fidelity_des_seconds_total": run.duration_s,
                     "sim_fidelity_fluid_requests_total": 0,
                 }
-                if structural_reason is not None:
-                    results.fidelity["sim_fidelity_fallback_reason"] = (
-                        structural_reason
-                    )
+                if block is not None:
+                    run.results.fidelity["sim_fidelity_fallback_reason"] = block
         else:
-            self._run_segments(
-                fidelity=fidelity,
-                sim=sim,
-                rng=rng,
-                generator=generator,
-                results=results,
-                registry=registry,
-                duration_s=duration_s,
-                offered_rate_hz=offered_rate_hz,
-                diurnal=diurnal,
-                window_s=window_s,
-                fill_on_miss=fill_on_miss,
-                faults=faults,
-                arrival_delay=arrival_delay,
-                dispatch=dispatch,
-                tracer=tracer,
-                policy=policy,
-                client_ring=client_ring,
-                down_cores=down_cores,
-                cores=cores,
-                drops_per_core=drops_per_core,
-                energy_meter=energy_meter,
-                slo=slo,
-                timeseries=timeseries,
-                completed_total=completed_total,
-                hits_total=hits_total,
-                misses_total=misses_total,
-                puts_total=puts_total,
-                response_bytes_total=response_bytes_total,
-                served_per_core=served_per_core,
-            )
-        if slo is not None:
-            slo.evaluate(sim.now)
-            results.slo_alerts = list(slo.alerts)
-        if timeseries is not None:
-            timeseries.flush(sim.now)
-            results.timeseries = timeseries
-        if options.trace_digest and tracer.enabled:
-            results.trace_digest = compute_trace_digest(tracer)
-        if tiered_stores is not None:
-            summary = aggregate_tiered_results(tiered_stores)
-            results.flashstore = summary
-            registry.gauge("flashstore_write_amplification").set(
-                summary["write_amplification"]
-            )
-            registry.gauge("flashstore_read_amplification").set(
-                summary["read_amplification"]
-            )
-            registry.gauge("flashstore_index_bytes_per_key").set(
-                summary["index_bytes_per_key"]
-            )
-        if energy_meter is not None:
-            energy_summary = energy_meter.finalize(sim.now, results.completed)
-            results.energy = energy_summary
-            # Re-check §6.5's passive-cooling argument at *measured*
-            # power instead of the worst-case TDP.
-            ThermalReport.from_measured(
-                stack_label,
-                energy_meter.num_stacks,
-                energy_summary["stack_mean_power_w"],
-                passive_limit_w=energy_meter.passive_limit_w,
-            ).export_gauges(registry)
-        return results
+            self._run_segments(run)
+        run.finish()
+        return run.results
 
     # --- hybrid DES/fluid driver ----------------------------------------------------
 
-    def _run_segments(
-        self,
-        *,
-        fidelity,
-        sim,
-        rng,
-        generator,
-        results,
-        registry,
-        duration_s,
-        offered_rate_hz,
-        diurnal,
-        window_s,
-        fill_on_miss,
-        faults,
-        arrival_delay,
-        dispatch,
-        tracer,
-        policy,
-        client_ring,
-        down_cores,
-        cores,
-        drops_per_core,
-        energy_meter,
-        slo,
-        timeseries,
-        completed_total,
-        hits_total,
-        misses_total,
-        puts_total,
-        response_bytes_total,
-        served_per_core,
-    ) -> None:
+    def _run_segments(self, run: "_RunState") -> None:
         """Drive the run through the fidelity plan's DES/fluid segments.
 
         DES segments replay the event loop unchanged, so everything
@@ -2130,445 +615,38 @@ class FullSystemStack:
         bit-identical to a pure-DES run.  Fluid segments consume the
         same arrival/workload RNG draws one by one.  Each window first
         picks its *held* cores (:func:`~repro.sim.fidelity.held_cores`):
-        their requests go to ``dispatch`` at their arrival times, so
-        their queues, drops and tails stay exact DES.  Every other
-        core's requests execute *functionally* against the same stores —
+        their requests go to the DES at their arrival times, so their
+        queues, drops and tails stay exact DES.  Every other core's
+        requests execute *functionally* against the same stores —
         keeping store contents, hit/miss outcomes, and the RNG cursor
         exact — while the energy accounting is folded in batches.  Their
         latency is folded too: calibrated from the quiescent DES islands
         when no core is held, and, when one is, computed per request by
         each folded core's own FIFO recursion, which gives exactly the
-        waits its DES queue would.
+        waits its DES queue would.  The windows themselves are
+        :class:`_FluidWindows`.
         """
-        from repro.workloads.generator import Request
-
-        hybrid = fidelity.mode == "hybrid"
-        n_cores = len(cores)
-        fluid_windows = 0
-        fluid_seconds = 0.0
-        fluid_requests = 0
-        des_seconds = 0.0
+        fidelity = run.options.fidelity
+        sim = run.sim
+        windows = _FluidWindows(run)
         fallback_reason: str | None = None
+        des_seconds = 0.0
         des_cores: dict[int, float] = {}
-        fluid_active_gauge = registry.gauge("sim_fidelity_fluid_active")
-
-        # ``key_core`` caches the client's key -> core lookup in fluid
-        # windows, a pure function of the key while the ring is intact —
-        # which every window-entry guard ensures.
-        key_core: dict[bytes, int] = {}
-        node_for = client_ring.node_for
-
-        # A held core's MAC drops are client timeouts on its port; with
-        # failover armed, enough of them would re-route the held core's
-        # keys mid-window onto a folded core whose ops for the step
-        # already ran.  Such runs hold no core: any core past the guard
-        # keeps the whole stack in DES (``saturated``).
-        can_fail_over = policy is not None and policy.failover_after is not None
-
-        def open_state(t: float, verb: str) -> dict:
-            return {
-                "done": False,
-                "arrival": t,
-                "attempts": 0,
-                "trace": tracer.begin(t, verb=verb),
-            }
-
-        # The arrival chain keeps exactly one pending event; tracking
-        # its absolute fire time lets a fluid window cancel it, replay
-        # the arrival process analytically from that exact time, and
-        # hand the (still-undrawn) next arrival back to DES afterwards.
         # DES arrivals are tallied per core: the utilisation estimate
         # that picks held cores reads arrival shares, not completions.
-        next_arrival = [0.0]
-        arrival_event: list = [None]
-        arrivals_per_core = [0] * n_cores
-
-        def arrive_h() -> None:
-            if sim.now >= duration_s:
-                arrival_event[0] = None
-                return
-            request = generator.next_request()
-            arrivals_per_core[int(node_for(request.key)) - _BASE_TCP_PORT] += 1
-            dispatch(request, open_state(sim.now, request.verb), 0)
-            delay = arrival_delay()
-            next_arrival[0] = sim.now + delay
-            arrival_event[0] = sim.schedule(delay, arrive_h)
-
-        # The RTT/wait histograms hold exact samples only for the whole
-        # run (DES completions, and the folded cores' FIFO recursion in
-        # windows that hold a core): the calibrated completions of
-        # windows that hold none accumulate in ``deferred_counted`` and
-        # fold into the histograms exactly once, after the final segment
-        # — over the samples of *every* quiescent DES island
-        # (calibration prefix, the trailing run-end guard band).  A
-        # per-window fold would only see the islands before it; the
-        # end-of-run fold gives the tail buckets the whole run's DES
-        # evidence.
-        rtt_hist = results.rtt_histogram
-        wait_hist = results.wait_histogram
-        deferred_counted = 0
-
-        # Quiescent-DES samples: fluid windows model the system
-        # *between* perturbations, so the calibrated mass must scale the
-        # samples of quiescent islands — folding over fault-window
-        # samples would amplify fault-elevated tails into the
-        # fast-forwarded quiescent mass.  Each DES segment that overlaps
-        # no guarded fault adds its sample deltas to ``quiet``.
-        fault_spans = (
-            []
-            if faults is None
-            else [
-                (
-                    max(0.0, start - fidelity.guard_band_s),
-                    min(duration_s, end + fidelity.guard_band_s),
-                )
-                for start, end in fault_intervals(faults)
-            ]
-        )
-
-        def overlaps_fault(start: float, end: float) -> bool:
-            return any(s < end and start < e for s, e in fault_spans)
-
-        quiet = (StreamingHistogram(), StreamingHistogram())
-
-        def run_des(until: float) -> None:
-            """One quiescent DES segment, its samples added to ``quiet``."""
-            before = [(list(h.counts), h.total) for h in (rtt_hist, wait_hist)]
-            sim.run(until=until)
-            for dest, src, (counts, total) in zip(
-                quiet, (rtt_hist, wait_hist), before
-            ):
-                dest.record_bucketed(
-                    {i: c - counts[i] for i, c in enumerate(src.counts)},
-                    src.total - total,
-                    src.min_seen,
-                    src.max_seen,
-                )
-
-        def calibration() -> tuple[StreamingHistogram, StreamingHistogram]:
-            """The RTT and wait distributions of the quiescent DES
-            islands, or the whole exact distribution when those saw too
-            few samples to be a usable shape."""
-            if quiet[0].count < _MIN_CALIBRATION_SAMPLES:
-                return rtt_hist, wait_hist
-            return quiet
-
-        def runtime_tripwire(held: dict[int, float]) -> str | None:
-            """Hybrid-only signals that the system is *currently* in a
-            regime whose event-level dynamics matter."""
-            if down_cores:
-                return "cores_down"
-            # A held core's MAC drops are its exact DES queue overflowing
-            # — the regime it is held for.  Each costs one timeout and at
-            # most one failure; any loss beyond that is elsewhere.
-            held_drops = sum(drops_per_core[core] for core in held)
-            if held_drops < max(
-                results.mac_drops, results.fault_timeouts, results.failed
-            ):
-                return "losses_observed"
-            if energy_meter is not None and energy_meter.derate_factor != 1.0:
-                return "thermal_throttle"
-            if slo is not None and slo.active_alerts:
-                return "slo_alert"
-            return None
-
-        def classify() -> tuple[str | None, dict[int, float]]:
-            """Why a fluid window may not open right now (None = go),
-            and the cores it must hold at DES fidelity."""
-            des_count = rtt_hist.count
-            if des_count < _MIN_CALIBRATION_SAMPLES:
-                return "calibration_too_thin", {}
-            # Peak-rate utilisation (the diurnal factor only ever lowers
-            # the rate, so this bounds it).
-            held = held_cores(
-                arrivals_per_core,
-                offered_rate_hz,
-                (rtt_hist.total - wait_hist.total) / des_count,
-                fidelity.max_utilization,
-                dropped={core for core, n in enumerate(drops_per_core) if n},
-            )
-            if held and (len(held) == n_cores or can_fail_over):
-                return "saturated", held
-            if hybrid:
-                return runtime_tripwire(held), held
-            return None, held
-
-        # Hot-loop bindings.
-        serve_op = self.serve_op
-        model_timing = self.model.request_timing
-        op_activity = self._op_activity
-        _expovariate = rng.expovariate
-        _next_raw = generator.next_raw
-        diurnal_factor = diurnal.factor if diurnal is not None else None
-
-        step_limit = fidelity.max_fluid_step_s
-        if timeseries is not None:
-            step_limit = min(step_limit, timeseries.interval_s)
-        if slo is not None:
-            step_limit = min(step_limit, slo.resolution_s)
-
-        def hold(t: float, key: bytes, size: int, is_get: bool) -> float:
-            """Hand one held core's request to the DES at its arrival
-            time ``t``; returns the next arrival time."""
-            request = Request("GET" if is_get else "PUT", key, size)
-            state = open_state(t, request.verb)
-            sim.schedule_at(t, lambda: dispatch(request, state, 0))
-            if diurnal_factor is None:
-                return t + _expovariate(offered_rate_hz)
-            return t + _expovariate(offered_rate_hz * diurnal_factor(t))
-
-        def run_fluid_window(
-            seg_start: float, seg_end: float, held: dict[int, float]
-        ) -> tuple[str | None, float]:
-            """Fast-forward ``[seg_start, seg_end)`` with ``held`` cores
-            at DES fidelity; returns the tripwire reason if the window
-            broke early (None otherwise) and the simulated time actually
-            covered fluidly."""
-            nonlocal fluid_windows, fluid_seconds, fluid_requests
-            nonlocal deferred_counted, key_core
-            fluid_windows += 1
-            fluid_active_gauge.set(1.0)
-            pending = arrival_event[0]
-            if pending is not None:
-                sim.cancel(pending)
-                arrival_event[0] = None
-            nt = next_arrival[0]
-
-            if held:
-                # The held cores' DES already costs a heap event per
-                # request, so the folded cores get exact latencies for a
-                # few float ops each: ``free_at[core]`` is when that
-                # core's FIFO server next idles, starting from the jobs
-                # its DES queue holds now, and each folded request
-                # starts at max(arrival, free_at).  Every arrival takes
-                # the branch below the cutoff test, which counts a
-                # completion iff it ends by ``duration_s``, as DES does.
-                free_at = [core.drained_at() for core in cores]
-                service_of: dict[int, float] = {}
-                threshold = -math.inf
-                # The key cache must not answer for held cores' keys:
-                # filtered once here (the copy stays the run's cache), a
-                # held core's key misses and takes the slow branch while
-                # a folded request still costs one hit.
-                key_core = {k: c for k, c in key_core.items() if c not in held}
-            else:
-                free_at = None
-                cal_rtt = calibration()[0]
-                fraction_below = cal_rtt.fraction_below
-                # Arrivals too close to the run's end would complete
-                # past ``duration_s`` in DES, where the conditional
-                # stats stop counting; mirror that cutoff at the
-                # calibrated mean RTT.
-                threshold = duration_s - cal_rtt.mean
-
-            cursor = seg_start
-            broke: str | None = None
-            while cursor < seg_end - 1e-12:
-                step_end = min(seg_end, cursor + step_limit)
-                n_req = 0
-                hits = misses = puts = resp_bytes = 0
-                # Timing and energy are pure functions of (verb, served
-                # bytes), so the inner loop only *counts* occurrences per
-                # op shape — key ``served << 1 | is_get`` — and the step
-                # boundary reads each distinct shape's timing and energy
-                # activity from the shared memo tables.
-                op_counts: dict[int, int] = {}
-                late_counts: dict[int, int] = {}
-                core_counts: dict[int, int] = {}
-                win_gets: dict[int, int] = {}
-                win_hits: dict[int, int] = {}
-                if free_at is not None:
-                    step_rtts: list[float] = []
-                    step_waits: list[float] = []
-                _op_get = op_counts.get
-                _core_get = core_counts.get
-                _kc_get = key_core.get
-                while nt < step_end:
-                    t = nt
-                    key, size, is_get = _next_raw()
-                    core = _kc_get(key)
-                    if core is None:
-                        core = int(node_for(key)) - _BASE_TCP_PORT
-                        if core in held:
-                            nt = hold(t, key, size, is_get)
-                            continue
-                        key_core[key] = core
-                    if is_get:
-                        hit, resp_len = serve_op(core, key, "GET", size)
-                        if hit:
-                            hits += 1
-                        else:
-                            misses += 1
-                            if fill_on_miss:
-                                serve_op(core, key, "PUT", size)
-                        served = resp_len
-                        if window_s is not None:
-                            widx = int(t / window_s)
-                            win_gets[widx] = win_gets.get(widx, 0) + 1
-                            if hit:
-                                win_hits[widx] = win_hits.get(widx, 0) + 1
-                    else:
-                        puts += 1
-                        _hit, resp_len = serve_op(core, key, "PUT", size)
-                        served = size
-                    resp_bytes += resp_len
-                    op = served << 1 | is_get
-                    op_counts[op] = _op_get(op, 0) + 1
-                    if t <= threshold:
-                        core_counts[core] = _core_get(core, 0) + 1
-                    elif free_at is None:
-                        late_counts[op] = late_counts.get(op, 0) + 1
-                    else:
-                        service = service_of.get(op)
-                        if service is None:
-                            service = service_of[op] = model_timing(
-                                "GET" if is_get else "PUT", served
-                            ).total_s
-                        start = free_at[core]
-                        if start < t:
-                            start = t
-                        end = free_at[core] = start + service
-                        if end <= duration_s:
-                            core_counts[core] = _core_get(core, 0) + 1
-                            step_rtts.append(end - t)
-                            step_waits.append(start - t)
-                        else:
-                            late_counts[op] = late_counts.get(op, 0) + 1
-                    n_req += 1
-                    if diurnal_factor is None:
-                        nt = t + _expovariate(offered_rate_hz)
-                    else:
-                        nt = t + _expovariate(
-                            offered_rate_hz * diurnal_factor(t)
-                        )
-
-                counted_n = n_req - sum(late_counts.values())
-                busy_s = 0.0
-                comp_hash = comp_mc = comp_net = 0.0
-                mem_bytes = wire_bytes = 0.0
-                fl_reads = fl_programs = fl_erases = 0.0
-                for op, n in op_counts.items():
-                    served = op >> 1
-                    verb = "GET" if op & 1 else "PUT"
-                    timing = model_timing(verb, served)
-                    busy_s += n * timing.total_s
-                    n_counted = n - late_counts.get(op, 0)
-                    if n_counted:
-                        comp_hash += n_counted * timing.hash_s
-                        comp_mc += n_counted * timing.memcached_s
-                        comp_net += n_counted * timing.network_s
-                    if energy_meter is not None:
-                        mb, wb, fr, fp, fe = op_activity(verb, served)
-                        mem_bytes += n * mb
-                        wire_bytes += n * wb
-                        fl_reads += n * fr
-                        fl_programs += n * fp
-                        fl_erases += n * fe
-
-                # Fold the step's aggregates, then let the DES heap run
-                # housekeeping (timeseries/SLO/energy ticks) up to the
-                # step boundary against the freshened counters.
-                if hits:
-                    results.get_hits += hits
-                    hits_total.inc(hits)
-                if misses:
-                    results.get_misses += misses
-                    misses_total.inc(misses)
-                if puts:
-                    results.puts += puts
-                    puts_total.inc(puts)
-                if resp_bytes:
-                    results.response_bytes += resp_bytes
-                    response_bytes_total.inc(resp_bytes)
-                if window_s is not None:
-                    for widx, n in win_gets.items():
-                        results.window_gets.observe_index(widx, float(n))
-                    for widx, n in win_hits.items():
-                        results.window_hits.observe_index(widx, float(n))
-                if counted_n:
-                    results.completed += counted_n
-                    completed_total.inc(counted_n)
-                    results.component_seconds["hash"] += comp_hash
-                    results.component_seconds["memcached"] += comp_mc
-                    results.component_seconds["network"] += comp_net
-                    for core, n in core_counts.items():
-                        results.per_core_served[core] = (
-                            results.per_core_served.get(core, 0) + n
-                        )
-                        served_per_core[core].inc(n)
-                    if free_at is None:
-                        deferred_counted += counted_n
-                        step_fraction = fraction_below
-                    else:
-                        rtt_hist.record_many(step_rtts)
-                        wait_hist.record_many(step_waits)
-
-                        def step_fraction(deadline_s: float) -> float:
-                            # The step's exact share within the deadline,
-                            # judged per request as the DES SLO does.
-                            return (
-                                sum(1 for rtt in step_rtts if rtt <= deadline_s)
-                                / counted_n
-                            )
-                    if slo is not None:
-                        slo.record_bulk(
-                            cursor + (step_end - cursor) / 2.0,
-                            counted_n,
-                            step_fraction,
-                        )
-                if energy_meter is not None and n_req:
-                    energy_meter.charge_core_busy_bulk(cursor, step_end, busy_s)
-                    energy_meter.charge_memory_bytes_bulk(
-                        cursor, step_end, mem_bytes
-                    )
-                    energy_meter.charge_nic_bytes_bulk(
-                        cursor, step_end, wire_bytes
-                    )
-                    if fl_reads or fl_programs or fl_erases:
-                        energy_meter.charge_flash_bulk(
-                            cursor, step_end, fl_reads, fl_programs, fl_erases
-                        )
-                fluid_requests += n_req
-                fluid_seconds += step_end - cursor
-                sim.run(until=step_end)
-                cursor = step_end
-                if hybrid and cursor < seg_end - 1e-12:
-                    broke = runtime_tripwire(held)
-                    if broke is not None:
-                        break
-
-            if free_at is not None:
-                # Hand each folded core's backlog to its DES queue, so
-                # requests after the window wait behind it as they would
-                # in DES.  (A core whose pre-window DES jobs outlast the
-                # window keeps only those: rare at rho below the guard.)
-                for core, until in enumerate(free_at):
-                    if (
-                        core not in held
-                        and until > sim.now
-                        and not cores[core].busy
-                    ):
-                        cores[core].occupy_until(until)
-            next_arrival[0] = nt
-            arrival_event[0] = sim.schedule_at(nt, arrive_h)
-            fluid_active_gauge.set(0.0)
-            return broke, cursor
-
-        # --- the segment plan, executed -----------------------------------------
-        first_delay = arrival_delay()
-        next_arrival[0] = first_delay
-        arrival_event[0] = sim.schedule(first_delay, arrive_h)
+        run.arrivals_per_core = [0] * len(run.cores)
+        run.start_arrivals()
         for seg_start, seg_end, seg_kind in plan_segments(
-            fidelity, faults, duration_s
+            fidelity, run.options.faults, run.duration_s
         ):
             if seg_kind == "des":
                 des_seconds += seg_end - seg_start
-                if overlaps_fault(seg_start, seg_end):
+                if windows.overlaps_fault(seg_start, seg_end):
                     sim.run(until=seg_end)
                 else:
-                    run_des(seg_end)
+                    windows.run_quiet_des(seg_end)
                 continue
-            reason, held = classify()
+            reason, held = windows.classify()
             if reason in (None, "saturated"):
                 des_cores.update(held)
             if reason is not None:
@@ -2577,50 +655,42 @@ class FullSystemStack:
                 des_seconds += seg_end - seg_start
                 sim.run(until=seg_end)
                 continue
-            broke, reached = run_fluid_window(seg_start, seg_end, held)
+            broke, reached = windows.window(seg_start, seg_end, held)
             if broke is not None:
                 if fallback_reason is None:
                     fallback_reason = broke
                 des_seconds += seg_end - reached
                 sim.run(until=seg_end)
         sim.run()  # drain completions past the horizon
+        windows.fold_deferred()
 
-        if deferred_counted:
-            # The end-of-run fold: distribute every calibrated fluid
-            # completion over the quiescent DES latency/wait
-            # distributions (largest-remainder, so totals are exact and
-            # the folded shape tracks the observed one as closely as
-            # integers allow).
-            cal_rtt, cal_wait = calibration()
-            for hist, cal in ((rtt_hist, cal_rtt), (wait_hist, cal_wait)):
-                hist.record_bucketed(
-                    allocate_proportional(cal.counts, deferred_counted),
-                    deferred_counted * cal.mean,
-                    hist.min_seen,
-                    hist.max_seen,
-                )
-
-        registry.counter("sim_fidelity_fluid_windows_total").inc(fluid_windows)
-        registry.counter("sim_fidelity_fluid_seconds_total").inc(fluid_seconds)
+        registry = run.registry
+        registry.counter("sim_fidelity_fluid_windows_total").inc(
+            windows.fluid_windows
+        )
+        registry.counter("sim_fidelity_fluid_seconds_total").inc(
+            windows.fluid_seconds
+        )
         registry.counter("sim_fidelity_des_seconds_total").inc(des_seconds)
         registry.counter("sim_fidelity_fluid_requests_total").inc(
-            fluid_requests
+            windows.fluid_requests
         )
-        results.fidelity = {
+        provenance = {
             "sim_fidelity_mode": fidelity.mode,
-            "sim_fidelity_fluid_windows_total": fluid_windows,
-            "sim_fidelity_fluid_seconds_total": fluid_seconds,
+            "sim_fidelity_fluid_windows_total": windows.fluid_windows,
+            "sim_fidelity_fluid_seconds_total": windows.fluid_seconds,
             "sim_fidelity_des_seconds_total": des_seconds,
-            "sim_fidelity_fluid_requests_total": fluid_requests,
+            "sim_fidelity_fluid_requests_total": windows.fluid_requests,
         }
         if fallback_reason is not None:
-            results.fidelity["sim_fidelity_fallback_reason"] = fallback_reason
+            provenance["sim_fidelity_fallback_reason"] = fallback_reason
         if des_cores:
             # Keyed like per_core_served in to_dict(), so the dict
             # round-trips through JSON unchanged.
-            results.fidelity["sim_fidelity_des_cores"] = {
+            provenance["sim_fidelity_des_cores"] = {
                 str(core): des_cores[core] for core in sorted(des_cores)
             }
+        run.results.fidelity = provenance
 
     # --- functional execution -------------------------------------------------------
 
@@ -2690,3 +760,1823 @@ class FullSystemStack:
             activity = (2.0 * item_bytes, wire_bytes, reads, programs, erases)
             self._activity[shape] = activity
         return activity
+
+
+#: The client-side interval before a request's winning attempt, per
+#: ``via`` of the completion (see :meth:`_RunState.complete`).
+_WAIT_SPANS = {None: "retry", "hedge": "hedge_wait", "batch": "batch_wait"}
+
+
+def _idle(wait: float) -> None:
+    """Completion callback of internal work nobody waits for."""
+
+
+class _RunState:
+    """Everything one :meth:`FullSystemStack.run` call shares.
+
+    Built once per run: the simulator, the per-core queues, the results
+    and their registry counters, the tracer, the energy meter, the
+    client's live ring and failure state, and one plain object per
+    optional feature — ``replication``, ``batching``, ``flash`` (the
+    tiered flash store) and ``faults`` (injection with crash/restart) —
+    each ``None`` when its feature is off.  The DES request path is
+    ``arrive -> dispatch -> serve -> complete``; the features are called
+    directly at the few sites that need them, so a disabled feature
+    costs a ``None`` test.
+    """
+
+    def __init__(
+        self, system: FullSystemStack, workload: "WorkloadSpec", options: RunOptions
+    ):
+        from repro.workloads.generator import WorkloadGenerator
+
+        self.system = system
+        self.options = options
+        self.duration_s = options.duration_s
+        self.offered_rate_hz = options.offered_rate_hz
+        self.fill_on_miss = options.fill_on_miss
+        self.diurnal = options.diurnal
+        self.slo = options.slo
+        self.timeseries = options.timeseries
+        telemetry = options.telemetry
+        if telemetry is None:
+            telemetry = NULL_TELEMETRY
+        if options.trace_digest and not telemetry.tracer.enabled:
+            # A digest was requested but no live session attached (the
+            # experiment engine's cached cells run instrument-free):
+            # trace internally with the paper SLA as the tail-sampling
+            # deadline, seeded off the stack seed for reproducibility.
+            telemetry = TelemetrySession(
+                slo_deadline_s=_DIGEST_SLA_DEADLINE_S, sampling_seed=system.seed
+            )
+        self.registry, self.tracer = telemetry.registry, telemetry.tracer
+        self.stack_label = system.stack.name
+        self.sim = Simulator()
+        self._install_instruments()
+        # Fixed item framing shared with the latency model: the
+        # calibrated default key length, not each request's actual key
+        # bytes, so tiered and baseline runs charge the same item
+        # footprint.
+        self.item_overhead = ITEM_OVERHEAD_BYTES + system.model.cal.default_key_bytes
+        self.rng = make_rng("full-system", system.seed)
+        self.generator = WorkloadGenerator(workload, seed=system.seed)
+        n_cores = system.stack.cores
+        # Per-core span labels and client ports, formatted once.
+        self.node_labels = [f"core{i}" for i in range(n_cores)]
+        self.ports = [str(_BASE_TCP_PORT + i) for i in range(n_cores)]
+        self.cores = [
+            FifoResource(
+                self.sim,
+                name=label,
+                registry=self.registry,
+                busy_observer=(
+                    self.energy.charge_core_busy if self.energy is not None else None
+                ),
+            )
+            for label in self.node_labels
+        ]
+        for server, core in zip(system.servers, self.cores):
+            server.attach_queue(core)
+        self.results = FullSystemResults(
+            duration_s=self.duration_s,
+            offered_rate_hz=self.offered_rate_hz,
+            keep_samples=options.keep_samples,
+            window_s=options.window_s,
+        )
+        self._register_counters(n_cores)
+
+        self.policy = options.resilience
+        self.hedge_after_s = (
+            self.policy.hedge_after_s if self.policy is not None else None
+        )
+        self.retry_rng = make_rng("resilience", system.seed)
+        self.memory_kind = "flash" if system.model.memory.is_flash else "dram"
+        # The client's live view of the cluster: failover removes nodes
+        # here and health checks re-add them; ``system.ring`` (the MAC's
+        # port map) is never mutated.
+        self.client_ring = ConsistentHashRing(iter(self.ports), vnodes=128)
+        self.down_cores: set[int] = set()
+        self.down_ports: set[str] = set()
+        self.failed_over: set[str] = set()
+        self.drops_per_core = [0] * n_cores
+        self.consecutive_timeouts: dict[str, int] = {}
+        self.max_queue = system.max_queue_per_core
+        # The arrival chain keeps exactly one pending event; tracking
+        # its absolute fire time lets a fluid window cancel it, replay
+        # the arrival process analytically from that exact time, and
+        # hand the (still-undrawn) next arrival back to DES afterwards.
+        self.next_arrival = 0.0
+        self.arrival_event = None
+        self.arrivals_per_core: list[int] | None = None
+        self.serve_op = system.serve_op
+        self.request_timing = system.model.request_timing
+        self._build_features()
+        self.injector = self.faults.injector if self.faults is not None else None
+        # Live slowdowns exist only with an injector or a meter.
+        self.slowed = self.injector is not None or self.energy is not None
+
+    # --- construction -----------------------------------------------------------
+
+    def _install_instruments(self) -> None:
+        """Attach the observatory instruments to the simulator."""
+        options, sim, registry = self.options, self.sim, self.registry
+        duration_s = self.duration_s
+        if options.profiler is not None:
+            options.profiler.attach(sim)
+        if self.timeseries is not None:
+            self.timeseries.install(sim, horizon_s=duration_s)
+        slo = self.slo
+        if slo is not None:
+            slo.install(sim, horizon_s=duration_s)
+            if self.tracer.enabled:
+                # Link alerts to representative traces: at fire time the
+                # alert samples the RTT histogram's exemplars from every
+                # bucket reaching past the tightest latency objective.
+                deadlines = [
+                    objective.deadline_s
+                    for objective in slo.objectives.values()
+                    if objective.deadline_s is not None
+                ]
+                if deadlines:
+                    rtt_histogram = registry.histogram("request_rtt_seconds")
+                    exemplar_floor = min(deadlines)
+                    slo.attach_exemplars(
+                        lambda: rtt_histogram.exemplars_above(exemplar_floor)
+                    )
+        self.slo_record = slo.record if slo is not None else None
+        energy = options.energy
+        if energy is None and options.energy_summary:
+            # A summary was requested but no live meter attached (the
+            # experiment engine's cached cells run instrument-free):
+            # meter internally against this stack's derived power model,
+            # sized to the run's window_s (default: twenty windows).
+            energy = EnergyMeter(
+                DynamicPowerModel.for_stack(self.system.stack),
+                window_s=(
+                    options.window_s
+                    if options.window_s is not None
+                    else duration_s / 20.0
+                ),
+                registry=registry,
+            )
+        if energy is not None:
+            energy.install(sim, horizon_s=duration_s)
+        self.energy = energy
+
+    def _register_counters(self, n_cores: int) -> None:
+        registry = self.registry
+        self.completed_total = registry.counter("requests_completed_total")
+        self.drops_total = registry.counter("mac_drops_total")
+        self.hits_total = registry.counter("get_hits_total")
+        self.misses_total = registry.counter("get_misses_total")
+        self.puts_total = registry.counter("puts_total")
+        self.response_bytes_total = registry.counter("response_bytes_total")
+        self.served_per_core = [
+            registry.counter("requests_served_total", {"core": str(i)})
+            for i in range(n_cores)
+        ]
+        self.failed_total = registry.counter("requests_failed_total")
+        self.retries_total = registry.counter("client_retries_total")
+        self.timeouts_total = registry.counter("client_timeouts_total")
+        self.failovers_total = registry.counter("client_failovers_total")
+        self.hedges_total = registry.counter("client_hedged_requests_total")
+
+    def _build_features(self) -> None:
+        """Validate the feature combination and build each enabled
+        feature object (``None`` when off)."""
+        options, registry = self.options, self.registry
+        cores = self.system.stack.cores
+        replication = options.replication
+        if replication is not None and replication.n > cores:
+            raise ConfigurationError(
+                f"replication factor {replication.n} exceeds the "
+                f"{cores}-core stack"
+            )
+        replicated = replication is not None and replication.n > 1
+        batched = options.batching is not None and options.batching.enabled
+        if batched and replicated:
+            raise ConfigurationError(
+                "batched dispatch and replication (n > 1) cannot be "
+                "combined in the full-system run; batch against a "
+                "sharded stack"
+            )
+        self.busy: dict = {}  # background_busy_seconds per task
+        self.flash = None
+        if options.flashstore is not None:
+            if not self.system.model.memory.is_flash:
+                raise ConfigurationError(
+                    "the tiered flash store needs a flash (Iridium) "
+                    "stack; Mercury keeps its DRAM path"
+                )
+            if replicated:
+                raise ConfigurationError(
+                    "the tiered flash store and replication (n > 1) "
+                    "cannot be combined yet; run sharded"
+                )
+            if batched:
+                raise ConfigurationError(
+                    "the tiered flash store and batched dispatch cannot "
+                    "be combined yet; run the serial path"
+                )
+            self.flash = _TieredFlash(self, options.flashstore)
+        self.batching = _Batching(self, options.batching) if batched else None
+        # Replication housekeeping's busy time, registered on every run so
+        # the metric layout does not depend on the features: windowed
+        # into the time-series recorder like any other metric, so a
+        # run's timeline shows the fault -> hint replay -> anti-entropy
+        # -> recovery sequence.
+        for task in ("hint_replay", "antientropy", "read_repair", "verify_read"):
+            self.busy[task] = registry.histogram(
+                "background_busy_seconds", {"task": task}
+            )
+        self.replica_put_wait = registry.histogram("replica_put_wait_seconds")
+        self.replication = (
+            _Replication(self, replication) if replicated else None
+        )
+        self.faults = (
+            _Faults(self, options.faults) if options.faults is not None else None
+        )
+        if self.replication is not None:
+            self.replication.install_antientropy()
+
+    # --- run phases -------------------------------------------------------------
+
+    def warm_up(self) -> None:
+        """``warmup_requests`` PUTs into the stores, outside simulated time."""
+        profiler = self.options.profiler
+        warm_span = profiler.span("warmup") if profiler is not None else nullcontext()
+        serve_op, generator = self.serve_op, self.generator
+        with warm_span:
+            for _ in range(self.options.warmup_requests):
+                request = generator.next_request()
+                if self.replication is not None:
+                    self.replication.warm(request)
+                    continue
+                core = self.system.core_for_key(request.key)
+                serve_op(core, request.key, "PUT", request.value_bytes)
+                if self.flash is not None:
+                    self.flash.warm(core, request)
+        if self.flash is not None:
+            self.flash.start_metering()
+
+    def fluid_block(self) -> str | None:
+        """Why this run cannot fold into fluid windows (None = it can).
+
+        Quorum fan-out, frame coalescing, tier probes, hedged twins,
+        span trees and exact order statistics are event-level phenomena;
+        the first reason in that order wins.
+        """
+        for feature in (self.replication, self.batching, self.flash, self.faults):
+            if feature is not None:
+                reason = feature.fluid_block()
+                if reason is not None:
+                    return reason
+        if self.hedge_after_s is not None:
+            return "hedging"
+        if self.tracer.enabled:
+            return "tracing"
+        if self.options.keep_samples:
+            return "keep_samples"
+        return None
+
+    def finish(self) -> None:
+        """Close the instruments and fill the results' summaries."""
+        sim, results, registry = self.sim, self.results, self.registry
+        if self.slo is not None:
+            self.slo.evaluate(sim.now)
+            results.slo_alerts = list(self.slo.alerts)
+        if self.timeseries is not None:
+            self.timeseries.flush(sim.now)
+            results.timeseries = self.timeseries
+        if self.options.trace_digest and self.tracer.enabled:
+            results.trace_digest = compute_trace_digest(self.tracer)
+        if self.flash is not None:
+            self.flash.finalize()
+        energy = self.energy
+        if energy is not None:
+            summary = energy.finalize(sim.now, results.completed)
+            results.energy = summary
+            # Re-check §6.5's passive-cooling argument at *measured*
+            # power instead of the worst-case TDP.
+            ThermalReport.from_measured(
+                self.stack_label,
+                energy.num_stacks,
+                summary["stack_mean_power_w"],
+                passive_limit_w=energy.passive_limit_w,
+            ).export_gauges(registry)
+
+    # --- shared charges ---------------------------------------------------------
+
+    def charge_op(
+        self,
+        t: float,
+        verb: str,
+        served_bytes: int,
+        tiered_cost=None,
+        wire: bool = True,
+    ) -> None:
+        """Energy of one op, read from the op-shape table (see
+        :meth:`FullSystemStack._op_activity`).  Core busy energy needs no
+        per-site charge — the queues' ``busy_observer`` charges it over
+        exactly the busy intervals."""
+        energy = self.energy
+        mem_bytes, wire_bytes, reads, programs, erases = self.system._op_activity(
+            verb, served_bytes
+        )
+        energy.charge_memory_bytes(t, mem_bytes)
+        if wire:
+            energy.charge_nic_bytes(t, wire_bytes)
+        flash = self.system.stack.flash
+        if flash is None:
+            return
+        if tiered_cost is not None:
+            # Tiered store: reads cost what the tier probe actually
+            # touched; log-structured writes amortise to the item's
+            # share of a page, and erases to that share of a block.
+            if verb == "GET":
+                energy.charge_flash_reads(t, float(tiered_cost.pages_read))
+            else:
+                pages = (self.item_overhead + served_bytes) / flash.page_bytes
+                energy.charge_flash_programs(t, pages)
+                energy.charge_flash_erases(t, pages / flash.pages_per_block)
+        elif verb == "GET":
+            energy.charge_flash_reads(t, reads)
+        else:
+            energy.charge_flash_programs(t, programs)
+            energy.charge_flash_erases(t, erases)
+
+    def background(
+        self, core_index: int, task: str, service: float, ops=(), spans=()
+    ) -> None:
+        """Occupy ``core_index`` for ``service`` seconds of internal work
+        (hint replay, anti-entropy, read repair, verify reads, tier
+        moves): the ``background_busy_seconds{task}`` sample, the
+        wire-free energy of ``ops`` (``(verb, bytes)`` pairs), one
+        follows-from span per ``(name, start, duration, trace)`` in
+        ``spans``, then one job on the core that nobody waits for."""
+        self.busy[task].record(service)
+        if self.energy is not None:
+            now = self.sim.now
+            for verb, size in ops:
+                self.charge_op(now, verb, size, wire=False)
+        if self.tracer.enabled:
+            node = self.node_labels[core_index]
+            for name, start, duration, trace in spans:
+                self.tracer.follow_from(
+                    name, start, duration,
+                    node=node, stack=self.stack_label, trace=trace,
+                )
+        self.cores[core_index].submit(service, _idle)
+
+    def adjust_timing(self, timing: RequestTiming) -> RequestTiming:
+        """``timing`` under the live slowdowns: the injector's
+        memory-degradation factor stretches the memcached stage, then
+        thermal throttle feedback (the derated clock) stretches the
+        on-core stages (hash + memcached).  Wire time is unaffected."""
+        if self.injector is not None:
+            factor = self.injector.service_factor(self.memory_kind)
+            if factor != 1.0:
+                timing = replace(timing, memcached_s=timing.memcached_s * factor)
+        energy = self.energy
+        if energy is not None and energy.derate_factor != 1.0:
+            derate = energy.derate_factor
+            timing = replace(
+                timing,
+                hash_s=timing.hash_s / derate,
+                memcached_s=timing.memcached_s / derate,
+            )
+        return timing
+
+    # --- the request path -------------------------------------------------------
+
+    def arrival_delay(self) -> float:
+        # Without a diurnal schedule the draw is untouched, so the
+        # RNG stream (and every downstream outcome) stays
+        # bit-identical to pre-diurnal runs.
+        if self.diurnal is None:
+            return self.rng.expovariate(self.offered_rate_hz)
+        return self.rng.expovariate(
+            self.offered_rate_hz * self.diurnal.factor(self.sim.now)
+        )
+
+    def start_arrivals(self) -> None:
+        delay = self.arrival_delay()
+        self.next_arrival = delay
+        self.arrival_event = self.sim.schedule(delay, self.arrive)
+
+    def arrive(self, request=None) -> None:
+        """One arrival.  With no ``request`` this is the Poisson chain:
+        draw the next request, hand it on, and schedule the next
+        arrival.  A fluid window hands a held core's already-drawn
+        ``request`` here at its arrival time, outside the chain."""
+        sim = self.sim
+        now = sim.now
+        chained = request is None
+        if chained:
+            if now >= self.duration_s:
+                self.arrival_event = None
+                return
+            request = self.generator.next_request()
+            if self.arrivals_per_core is not None:
+                self.arrivals_per_core[
+                    int(self.client_ring.node_for(request.key)) - _BASE_TCP_PORT
+                ] += 1
+        # The trace opens at arrival so every attempt — retries,
+        # hedges, replica fan-out — shares one causal context.
+        state = {
+            "done": False,
+            "arrival": now,
+            "attempts": 0,
+            "trace": self.tracer.begin(now, verb=request.verb),
+        }
+        if self.batching is not None:
+            self.batching.enqueue(request, state)
+        else:
+            self.dispatch(request, state, 0)
+        if chained:
+            delay = self.arrival_delay()
+            self.next_arrival = now + delay
+            self.arrival_event = sim.schedule(delay, self.arrive)
+
+    def dispatch(self, request, state, attempt: int) -> None:
+        """One attempt of one logical request (``attempt`` 0-based)."""
+        replication = self.replication
+        if replication is not None:
+            if request.verb != "GET":
+                replication.dispatch_put(request, state, attempt)
+                return
+            state["attempts"] = attempt + 1
+            port = replication.read_port(request.key, attempt)
+        else:
+            state["attempts"] = attempt + 1
+            ring = self.client_ring
+            if len(ring) == 0:
+                self.give_up(request, state)
+                return
+            port = ring.node_for(request.key)
+        core_index = int(port) - _BASE_TCP_PORT
+        if self.lost(core_index):
+            self.timed_out(request, state, attempt, port)
+        else:
+            self.serve(request, state, core_index)
+
+    def lost(self, core_index: int) -> bool:
+        """Whether a frame sent to ``core_index`` now is lost: the core
+        is down, the injector drops or corrupts it, or the MAC buffer
+        for the core is full (counted as a MAC drop).  The client sees
+        every loss as a timeout."""
+        injector = self.injector
+        if injector is not None and (
+            core_index in self.down_cores
+            or injector.should_drop()
+            or injector.should_corrupt()
+        ):
+            return True
+        if (
+            self.max_queue is not None
+            and self.cores[core_index].queue_depth >= self.max_queue
+        ):
+            self.results.mac_drops += 1
+            self.drops_per_core[core_index] += 1
+            self.drops_total.inc()
+            return True
+        return False
+
+    def serve(self, request, state, core_index: int, via: str | None = None) -> None:
+        """Execute ``request`` on ``core_index`` and queue its service
+        time there; ``via="hedge"`` marks the hedged twin."""
+        sim = self.sim
+        verb = request.verb
+        hit, response_len = self.serve_op(
+            core_index, request.key, verb, request.value_bytes
+        )
+        tiered_cost = None
+        if self.flash is not None:
+            tiered_cost = self.flash.mirror(core_index, request, state["trace"])
+        if verb == "GET":
+            if self.replication is not None:
+                hit, response_len = self.replication.read(
+                    request, state, core_index, hit, response_len
+                )
+            elif self.fill_on_miss and not hit:
+                # Cache-aside refill: the application fetches the value
+                # from its backing store and re-caches it (functional
+                # only; the DB round trip is outside the simulated SLA).
+                self.serve_op(core_index, request.key, "PUT", request.value_bytes)
+                if self.flash is not None:
+                    self.flash.refill(core_index, request, state["trace"])
+            served_bytes = response_len
+        else:
+            served_bytes = request.value_bytes
+        if tiered_cost is not None:
+            timing = self.system.model.request_timing_tiered(
+                verb, served_bytes, tiered_cost.service_s
+            )
+        else:
+            timing = self.request_timing(verb, served_bytes)
+        if self.slowed:
+            timing = self.adjust_timing(timing)
+        if self.energy is not None:
+            self.charge_op(sim.now, verb, served_bytes, tiered_cost)
+        self.cores[core_index].submit(
+            timing.total_s,
+            partial(
+                self.complete, request, state, core_index, via, hit,
+                response_len, timing, tiered_cost, sim.now, 1,
+            ),
+        )
+        if verb == "GET":
+            port = self.ports[core_index]
+            if self.replication is not None:
+                self.replication.verify(request, state, port)
+            if self.hedge_after_s is not None:
+                sim.schedule(
+                    self.hedge_after_s, lambda: self.hedge(request, state, port)
+                )
+
+    def complete(
+        self, request, state, core_index: int, via: str | None, hit: bool,
+        response_len: int, timing, tiered_cost, dispatched, served: int,
+        wait: float,
+    ) -> None:
+        """The one completion path: a job of ``request`` left
+        ``core_index``'s queue after waiting ``wait`` seconds.
+
+        ``via`` names the job: ``None`` is the request's own attempt and
+        ``"hedge"`` its hedged twin (the later of the two is a
+        straggler); ``"batch"`` is one rider of a coalesced frame;
+        ``"replica"`` is one physical copy of a quorum PUT, which
+        answers nobody itself; ``"quorum"`` is the W-th replica ack,
+        which answers the PUT.  ``served`` is how many core-served
+        requests the job adds to the component-time and per-core tallies
+        (a batch charges all its riders on the first).
+        """
+        now = self.sim.now
+        results = self.results
+        if via == "replica":
+            self.consecutive_timeouts[self.ports[core_index]] = 0
+            self.replica_put_wait.record(wait)
+        elif state["done"]:
+            # A hedged twin already answered: the losing branch is
+            # causally linked but outside the trace, so the RTT
+            # identity over the span tree survives.
+            if self.tracer.enabled:
+                self.tracer.follow_from(
+                    "hedge_straggler" if via == "hedge" else "straggler",
+                    dispatched,
+                    now - dispatched,
+                    node=self.node_labels[core_index],
+                    stack=self.stack_label,
+                    kind="client",
+                    trace=state["trace"],
+                )
+            return
+        else:
+            state["done"] = True
+            if via is None or via == "hedge":
+                self.consecutive_timeouts[self.ports[core_index]] = 0
+            if request.verb == "GET":
+                if hit:
+                    results.get_hits += 1
+                    self.hits_total.inc()
+                else:
+                    results.get_misses += 1
+                    self.misses_total.inc()
+                results.note_window_get(state["arrival"], hit)
+            else:
+                results.puts += 1
+                self.puts_total.inc()
+            results.response_bytes += response_len
+            self.response_bytes_total.inc(response_len)
+        within = now <= self.duration_s
+        if within:
+            if via != "replica":
+                latency = now - state["arrival"]
+                results.record(latency, wait)
+                self.completed_total.inc()
+                if self.slo_record is not None:
+                    self.slo_record(now, latency_s=latency, ok=True)
+            if served:
+                component = results.component_seconds
+                component["hash"] += timing.hash_s
+                component["memcached"] += timing.memcached_s
+                component["network"] += timing.network_s
+                results.per_core_served[core_index] = (
+                    results.per_core_served.get(core_index, 0) + served
+                )
+                self.served_per_core[core_index].inc(served)
+        if self.tracer.enabled and (within or via == "replica"):
+            self.trace_completion(
+                request, state, core_index, via, hit, response_len, timing,
+                tiered_cost, dispatched, wait,
+            )
+        if via == "replica":
+            self.replication.copy_resolved(
+                request, state, core_index, True, wait, response_len
+            )
+
+    def trace_completion(
+        self, request, state, core_index: int, via: str | None, hit: bool,
+        response_len: int, timing, tiered_cost, dispatched, wait: float,
+    ) -> None:
+        """The span tree of one completion (see :meth:`complete`).
+
+        It retraces the request's path: any client retry / hedge /
+        batch-fill wait as a root interval, then the MAC queue and the
+        latency model's network / hash-lookup / memcached stages — as
+        roots on the plain path (the flat Fig. 4 layout), or nested
+        under a ``hedge``/``batch``/``replica_put`` wrapper.
+        """
+        tracer = self.tracer
+        trace = state["trace"]
+        now = self.sim.now
+        node = self.node_labels[core_index]
+        stack = self.stack_label
+        if via == "replica":
+            if trace.end_s is None:
+                # This copy resolves before the W-th ack, so its whole
+                # chain nests inside the logical PUT.
+                wrapper = trace.add_span(
+                    "replica_put", dispatched, now - dispatched,
+                    kind="server", node=node, stack=stack,
+                )
+                self.stage_spans(trace, dispatched, wait, timing, wrapper, node)
+            else:
+                # Acks past W land after the PUT completed.
+                tracer.follow_from(
+                    "replica_put_straggler", dispatched, now - dispatched,
+                    node=node, stack=stack, kind="server", trace=trace,
+                )
+            return
+        if via == "quorum":
+            copies = state["copies"]
+            trace.annotate(
+                verb="PUT",
+                value_bytes=request.value_bytes,
+                acks=copies["acks"],
+                replicas=copies["total"],
+            )
+        else:
+            trace.annotate(
+                core=core_index,
+                verb=request.verb,
+                value_bytes=(
+                    response_len if request.verb == "GET" else request.value_bytes
+                ),
+                hit=hit,
+            )
+            if via == "batch":
+                batch_size, reason = state["batch"]
+                trace.annotate(batch_size=batch_size, batch_flush=reason)
+        if state["attempts"] > 1:
+            trace.annotate(attempts=state["attempts"])
+        if via != "quorum":
+            arrival = state["arrival"]
+            if dispatched > arrival:
+                trace.add_span(
+                    _WAIT_SPANS[via], arrival, dispatched - arrival,
+                    kind="client", node="client", stack=stack,
+                )
+            parent = None
+            if via is not None:
+                parent = trace.add_span(
+                    via, dispatched, now - dispatched,
+                    kind="client" if via == "hedge" else "server",
+                    node=node, stack=stack,
+                )
+            memcached = self.stage_spans(trace, dispatched, wait, timing, parent, node)
+            if tiered_cost is not None and tiered_cost.probes:
+                # Per-tier flash intervals nest inside the memcached
+                # stage (where the tiered timing folded them), laid back
+                # to back in probe order: log, hash stores, sorted.
+                probe_at = memcached.start_s
+                for tier_name, seconds in tiered_cost.probes:
+                    trace.add_span(
+                        f"flash_{tier_name}", probe_at, seconds,
+                        parent=memcached, kind="server", node=node, stack=stack,
+                    )
+                    probe_at += seconds
+            for v_start, v_duration, v_core in state.get("verify_spans", ()):
+                # Verify reads nest only while they fit the trace
+                # interval; late finishers become follow-from spans to
+                # keep every span inside its parent.
+                if v_start + v_duration <= now + 1e-12:
+                    trace.add_span(
+                        "verify_read", v_start, v_duration,
+                        kind="server", node=self.node_labels[v_core], stack=stack,
+                    )
+                else:
+                    tracer.follow_from(
+                        "verify_read", v_start, v_duration,
+                        node=self.node_labels[v_core], stack=stack, trace=trace,
+                    )
+        trace.finish(now)
+        tracer.commit(trace)
+
+    def stage_spans(self, trace, dispatched, wait, timing, parent, node):
+        """The queue, network, hash and memcached spans of one job
+        dispatched at ``dispatched`` that queued ``wait`` seconds;
+        returns the memcached span."""
+        stack = self.stack_label
+        trace.add_span(
+            "queue", dispatched, wait,
+            parent=parent, kind="server", node=node, stack=stack,
+        )
+        served_at = dispatched + wait
+        trace.add_span(
+            "network", served_at, timing.network_s,
+            parent=parent, kind="server", node=node, stack=stack,
+        )
+        trace.add_span(
+            "hash", served_at + timing.network_s, timing.hash_s,
+            parent=parent, kind="server", node=node, stack=stack,
+        )
+        return trace.add_span(
+            "memcached", served_at + timing.network_s + timing.hash_s,
+            timing.memcached_s,
+            parent=parent, kind="server", node=node, stack=stack,
+        )
+
+    # --- the client's resilience ------------------------------------------------
+
+    def hedge(self, request, state, port: str) -> None:
+        """Fire a hedged twin of an unanswered GET at the next node."""
+        if state["done"]:
+            return
+        if self.replication is not None:
+            # Hedge to the key's next replica — the node that actually
+            # holds a copy.
+            alt = self.replication.hedge_target(request.key, port)
+            if alt is None:
+                return
+        else:
+            ring = self.client_ring
+            if len(ring) < 2:
+                return
+            nodes = sorted(ring.nodes)
+            try:
+                alt = nodes[(nodes.index(port) + 1) % len(nodes)]
+            except ValueError:  # primary failed over meanwhile
+                alt = nodes[0]
+        alt_core = self.system._core_index(alt)
+        if alt_core in self.down_cores:
+            return
+        if (
+            self.max_queue is not None
+            and self.cores[alt_core].queue_depth >= self.max_queue
+        ):
+            return
+        self.results.hedges += 1
+        self.hedges_total.inc()
+        self.serve(request, state, alt_core, via="hedge")
+
+    def note_timeout(self, port: str) -> None:
+        """Count one attempt timeout at ``port``; enough in a row fail
+        the node over."""
+        self.results.fault_timeouts += 1
+        self.timeouts_total.inc()
+        self.consecutive_timeouts[port] = self.consecutive_timeouts.get(port, 0) + 1
+        if self.policy is not None and self.policy.should_fail_over(
+            self.consecutive_timeouts[port]
+        ):
+            self.fail_over(port)
+
+    def timed_out(self, request, state, attempt: int, port: str) -> None:
+        self.note_timeout(port)
+        policy = self.policy
+        if policy is not None and attempt + 1 < policy.max_attempts:
+            self.results.retries += 1
+            self.retries_total.inc()
+            delay = policy.request_timeout_s + policy.backoff_s(
+                attempt, self.retry_rng
+            )
+            self.sim.schedule(
+                delay, lambda: self.dispatch(request, state, attempt + 1)
+            )
+        else:
+            self.give_up(request, state)
+
+    def give_up(self, request, state) -> None:
+        self.results.failed += 1
+        self.failed_total.inc()
+        now = self.sim.now
+        if self.slo_record is not None:
+            self.slo_record(now, ok=False)
+        if self.tracer.enabled:
+            # Error traces are always retained by tail sampling.
+            trace = state["trace"]
+            trace.annotate(
+                verb=request.verb, error="gave_up", attempts=state["attempts"]
+            )
+            trace.finish(now)
+            self.tracer.commit(trace)
+        if request.verb == "GET":
+            self.results.note_window_get(state["arrival"], hit=False)
+
+    def fail_over(self, port: str) -> None:
+        if port in self.failed_over or len(self.client_ring) <= 1:
+            return
+        self.failed_over.add(port)
+        self.client_ring.remove_node(port)
+        self.results.failovers += 1
+        self.failovers_total.inc()
+        if self.sim.now < self.duration_s:
+            self.sim.schedule(
+                self.policy.health_check_interval_s,
+                lambda: self.try_readmit(port),
+            )
+
+    def try_readmit(self, port: str) -> None:
+        """Health check: re-add a failed-over node once it is up."""
+        if port not in self.failed_over:
+            return
+        if self.system._core_index(port) not in self.down_cores:
+            self.failed_over.discard(port)
+            self.client_ring.add_node(port)
+            self.consecutive_timeouts[port] = 0
+        elif self.sim.now < self.duration_s:
+            self.sim.schedule(
+                self.policy.health_check_interval_s,
+                lambda: self.try_readmit(port),
+            )
+
+
+# --- per-feature objects ---------------------------------------------------------
+
+
+class _Faults:
+    """Fault injection with crash/restart: the injector replays the
+    schedule on the simulator, a crashed core loses its data (§2.3) and
+    is down until its restart."""
+
+    def __init__(self, run: _RunState, schedule: FaultSchedule):
+        self.run = run
+        self.injector = FaultInjector(
+            schedule, seed=run.system.seed, registry=run.registry
+        )
+        self.injector.install(
+            run.sim,
+            horizon_s=run.duration_s,
+            on_crash=self.crash,
+            on_restart=self.restart,
+        )
+
+    def fluid_block(self) -> None:
+        """Faults never block folding: the segment plan runs each fault
+        window, guard-banded, as a DES island."""
+        return None
+
+    def crash(self, node: str) -> None:
+        run = self.run
+        index = run.system._core_index(node)
+        run.down_cores.add(index)
+        run.down_ports.add(run.ports[index])
+        run.system.servers[index].store.flush_all()
+        if run.flash is not None:
+            # The crash also loses the tiers' in-memory indexes, so the
+            # tiered store restarts empty with its peer.
+            run.flash.stores[index].flush()
+
+    def restart(self, node: str) -> None:
+        run = self.run
+        index = run.system._core_index(node)
+        run.down_cores.discard(index)
+        run.down_ports.discard(run.ports[index])
+        if run.replication is not None:
+            run.replication.replay_hints(index)
+
+
+class _Replication:
+    """The stack as a quorum replica group (``n > 1``): PUTs fan to the
+    key's preferred cores and complete at the W-th ack, GETs walk the
+    preferred list with read repair and ``r - 1`` verify reads, copies
+    for a down core park as hints, and anti-entropy sweeps on a timer."""
+
+    def __init__(self, run: _RunState, config):
+        self.run = run
+        self.config = config
+        registry = run.registry
+        # Each core is its own failure domain here — the whole run is
+        # one physical stack — so placement skips by node; the
+        # rack/stack-aware rule matters in the multi-stack client.
+        self.placement = ReplicaPlacement(
+            run.system.ring, config.n, stack_of=lambda port: port
+        )
+        self.hints = HintQueue(registry=registry)
+        self.writes_total = registry.counter("replication_replica_writes_total")
+        self.redirected_total = registry.counter(
+            "replication_redirected_reads_total"
+        )
+        self.verify_total = registry.counter("replication_verify_reads_total")
+        self.read_repairs_total = registry.counter("replication_read_repairs_total")
+        self.put_seq = 0  # the DES's version epoch (hint resolution order)
+
+    def fluid_block(self) -> str:
+        return "replication"
+
+    def install_antientropy(self) -> None:
+        config, run = self.config, self.run
+        if config.anti_entropy_interval_s is None:
+            return
+        fabric = _ReplicaFabric(
+            {run.ports[i]: server.store for i, server in enumerate(run.system.servers)},
+            self.placement,
+            run.down_ports,
+        )
+        self.sweeper = AntiEntropySweeper(
+            fabric,
+            buckets=config.anti_entropy_buckets,
+            max_repairs_per_sweep=config.max_repairs_per_sweep,
+            registry=run.registry,
+        )
+        run.sim.recurring(config.anti_entropy_interval_s, self.sweep, run.duration_s)
+
+    def sweep(self, t: float) -> None:
+        run = self.run
+        report = self.sweeper.sweep()
+        run.results.antientropy_sweeps += 1
+        run.results.antientropy_repairs += report.repairs
+        for port, count in sorted(report.repairs_by_node.items()):
+            # Charge each receiving core the service time of its repair
+            # writes (functional copies already landed).  Sweeps repair
+            # keys from many writers: no single originating trace.
+            mean_bytes = report.bytes_by_node[port] // count
+            service = run.request_timing("PUT", mean_bytes).total_s * count
+            run.background(
+                int(port) - _BASE_TCP_PORT,
+                "antientropy",
+                service,
+                ops=[("PUT", mean_bytes)] * count,
+                spans=(("antientropy", t, service, None),),
+            )
+
+    def warm(self, request) -> None:
+        for port in self.placement.replicas_for(request.key):
+            self.run.serve_op(
+                int(port) - _BASE_TCP_PORT, request.key, "PUT", request.value_bytes
+            )
+
+    def replay_hints(self, index: int) -> None:
+        """Replay the copies parked for core ``index`` at its restart."""
+        run = self.run
+        if not self.config.hinted_handoff:
+            return
+        hints = self.hints.drain(run.ports[index])
+        if not hints:
+            return
+        replay_service = 0.0
+        spans = []
+        for hint in hints:
+            run.serve_op(index, hint.key, "PUT", hint.payload)
+            service = run.request_timing("PUT", hint.payload).total_s
+            # Replay work follows from the PUT that parked the hint;
+            # laid out back-to-back as the burst occupies the core.
+            spans.append(
+                ("handoff_replay", run.sim.now + replay_service, service, hint.trace_id)
+            )
+            replay_service += service
+        run.results.hints_replayed += len(hints)
+        # Replay occupies the restarted core like one back-to-back burst
+        # of stack-internal PUTs.
+        run.background(
+            index,
+            "hint_replay",
+            replay_service,
+            ops=[("PUT", hint.payload) for hint in hints],
+            spans=spans,
+        )
+
+    # --- reads ---
+
+    def read_port(self, key: bytes, attempt: int) -> str:
+        """Walk the key's preferred list, skipping failed-over members;
+        retries rotate to the next replica instead of hammering the
+        same node."""
+        preferred = self.placement.replicas_for(key)
+        candidates = [
+            p for p in preferred if p not in self.run.failed_over
+        ] or list(preferred)
+        return candidates[attempt % len(candidates)]
+
+    def read(self, request, state, core_index: int, hit: bool, response_len: int):
+        """The replicated extras of a GET served at ``core_index``: read
+        repair, cache-aside refill of every live replica, and the
+        redirected-read count; returns the read's ``(hit, reply bytes)``."""
+        run = self.run
+        key, size = request.key, request.value_bytes
+        preferred = self.placement.replicas_for(key)
+        if not hit:
+            # Quorum read: the coordinator consults R replicas and any
+            # copy answers — a replica that misses while a live peer
+            # holds the key is read-repaired with that copy.
+            for peer_port in preferred:
+                peer_core = int(peer_port) - _BASE_TCP_PORT
+                if peer_core == core_index or peer_core in run.down_cores:
+                    continue
+                if run.system.servers[peer_core].store.peek(key) is None:
+                    continue
+                hit, response_len = run.serve_op(peer_core, key, "GET", size)
+                if hit:
+                    run.serve_op(core_index, key, "PUT", size)
+                    run.results.read_repairs += 1
+                    self.read_repairs_total.inc()
+                    # The repair write occupies the lagging core.
+                    service = run.request_timing("PUT", size).total_s
+                    run.background(
+                        core_index,
+                        "read_repair",
+                        service,
+                        ops=(("PUT", size),),
+                        spans=(("read_repair", run.sim.now, service, state["trace"]),),
+                    )
+                break
+        if run.fill_on_miss and not hit:
+            for fill_port in preferred:
+                fill_core = int(fill_port) - _BASE_TCP_PORT
+                if fill_core not in run.down_cores:
+                    run.serve_op(fill_core, key, "PUT", size)
+        if run.ports[core_index] != preferred[0]:
+            run.results.redirected_reads += 1
+            self.redirected_total.inc()
+        return hit, response_len
+
+    def verify(self, request, state, port: str) -> None:
+        """Read-quorum cost: the coordinator also consults ``r - 1``
+        more replicas.  Their replies don't gate the RTT (the fastest
+        copy answers the caller) but the reads occupy those cores."""
+        run = self.run
+        if self.config.r == 1 or state.get("verified", False):
+            return
+        state["verified"] = True
+        extra = 0
+        for verify_port in self.placement.replicas_for(request.key):
+            if extra == self.config.r - 1:
+                break
+            if verify_port == port:
+                continue
+            verify_core = int(verify_port) - _BASE_TCP_PORT
+            if verify_core in run.down_cores:
+                continue
+            service = run.request_timing("GET", request.value_bytes).total_s
+            if run.tracer.enabled:
+                # Parked until the winning attempt commits; the service
+                # interval is known now, the queue wait is deliberately
+                # ignored (the reply does not gate the caller).
+                state.setdefault("verify_spans", []).append(
+                    (run.sim.now, service, verify_core)
+                )
+            run.background(
+                verify_core, "verify_read", service,
+                ops=(("GET", request.value_bytes),),
+            )
+            run.results.verify_reads += 1
+            self.verify_total.inc()
+            extra += 1
+
+    def hedge_target(self, key: bytes, port: str) -> str | None:
+        """The first live replica after ``port`` in the key's preferred
+        list (None if there is none)."""
+        preferred = self.placement.replicas_for(key)
+        start = preferred.index(port) if port in preferred else -1
+        for offset in range(1, len(preferred)):
+            candidate = preferred[(start + offset) % len(preferred)]
+            if self.run.system._core_index(candidate) not in self.run.down_cores:
+                return candidate
+        return None
+
+    # --- writes ---
+
+    def dispatch_put(self, request, state, attempt: int) -> None:
+        """Fan a logical PUT to its preferred list (W-quorum)."""
+        state["attempts"] = attempt + 1
+        preferred = self.placement.replicas_for(request.key)
+        self.put_seq += 1
+        state["copies"] = {
+            "acks": 0,
+            "resolved": 0,
+            "total": len(preferred),
+            "need": min(self.config.w, len(preferred)),
+        }
+        for port in preferred:
+            self.send_copy(request, state, port, self.put_seq)
+
+    def send_copy(self, request, state, port: str, version: int) -> None:
+        """Fan one physical copy of a PUT to one replica core."""
+        run = self.run
+        core_index = int(port) - _BASE_TCP_PORT
+        down = core_index in run.down_cores
+        if run.lost(core_index):
+            if down and self.config.hinted_handoff:
+                trace = state["trace"]
+                if self.hints.park(
+                    port,
+                    request.key,
+                    version,
+                    request.value_bytes,
+                    trace_id=trace.request_id if run.tracer.enabled else None,
+                ):
+                    run.results.hints_queued += 1
+                    if run.tracer.enabled and trace.end_s is None:
+                        # An instant producer span: the copy was parked,
+                        # its replay follows from this trace at the
+                        # node's restart.
+                        trace.add_span(
+                            "hint", run.sim.now, 0.0, kind="producer",
+                            node=run.node_labels[core_index], stack=run.stack_label,
+                        )
+            run.note_timeout(port)
+            timeout = run.policy.request_timeout_s if run.policy is not None else 0.0
+            run.sim.schedule(
+                timeout,
+                lambda: self.copy_resolved(request, state, core_index, False, 0.0, 0),
+            )
+            return
+        _hit, response_len = run.serve_op(
+            core_index, request.key, "PUT", request.value_bytes
+        )
+        timing = run.request_timing("PUT", request.value_bytes)
+        if run.slowed:
+            timing = run.adjust_timing(timing)
+        if run.energy is not None:
+            # Each physical copy moves over the wire and through memory
+            # like its own PUT.
+            run.charge_op(run.sim.now, "PUT", request.value_bytes)
+        run.results.replica_puts += 1
+        self.writes_total.inc()
+        run.cores[core_index].submit(
+            timing.total_s,
+            partial(
+                run.complete, request, state, core_index, "replica", True,
+                response_len, timing, None, run.sim.now, 1,
+            ),
+        )
+
+    def copy_resolved(
+        self, request, state, core_index: int, ok: bool, wait: float,
+        response_len: int,
+    ) -> None:
+        """One replica copy of a fanned PUT finished (or timed out)."""
+        run = self.run
+        copies = state["copies"]
+        copies["resolved"] += 1
+        if ok:
+            copies["acks"] += 1
+            if copies["acks"] == copies["need"] and not state["done"]:
+                # The W-th ack completes the logical PUT.
+                run.complete(
+                    request, state, core_index, "quorum", True, response_len,
+                    None, None, None, 0, wait,
+                )
+        if copies["resolved"] == copies["total"] and not state["done"]:
+            # Every copy resolved and the quorum never formed.
+            attempt = state["attempts"] - 1
+            policy = run.policy
+            if policy is not None and attempt + 1 < policy.max_attempts:
+                run.results.retries += 1
+                run.retries_total.inc()
+                delay = policy.backoff_s(attempt, run.retry_rng)
+                run.sim.schedule(
+                    delay, lambda: run.dispatch(request, state, attempt + 1)
+                )
+            else:
+                run.give_up(request, state)
+
+
+class _Batching:
+    """Per-core coalescing of arrivals into one frame (``batch_max > 1``):
+    an op joins its core's open batch, which flushes at ``batch_max``
+    ops ("size") or when its oldest rider has lingered ``linger_s``."""
+
+    def __init__(self, run: _RunState, policy):
+        self.run = run
+        self.policy = policy
+        registry = run.registry
+        n_cores = len(run.cores)
+        # One pending-op list per core: the client-side buffer in front
+        # of each node's coalesced frame.  ``open_id`` detects stale
+        # linger timers — a size flush reopens the buffer and the old
+        # timer must not flush the successor batch early.
+        self.pending: list[list] = [[] for _ in range(n_cores)]
+        self.open_id = [0] * n_cores
+        self.flush_total = {
+            reason: registry.counter("batch_flushes_total", {"reason": reason})
+            for reason in (FLUSH_SIZE, FLUSH_LINGER)
+        }
+        self.ops_total = registry.counter("batch_ops_total")
+        self.size_histogram = registry.histogram(
+            "batch_size", min_value=1.0, max_value=float(MAX_BATCH_OPS)
+        )
+
+    def fluid_block(self) -> str:
+        return "batching"
+
+    def enqueue(self, request, state) -> None:
+        """Buffer one arrival behind its key's core; flush on size or
+        on the linger deadline, whichever lands first."""
+        run = self.run
+        if len(run.client_ring) == 0:
+            run.give_up(request, state)
+            return
+        core_index = int(run.client_ring.node_for(request.key)) - _BASE_TCP_PORT
+        pending = self.pending[core_index]
+        pending.append((request, state))
+        if len(pending) >= self.policy.batch_max:
+            self.flush(core_index, FLUSH_SIZE)
+        elif len(pending) == 1:
+            open_id = self.open_id[core_index]
+
+            def linger_fire() -> None:
+                if self.open_id[core_index] == open_id:
+                    self.flush(core_index, FLUSH_LINGER)
+
+            run.sim.schedule(self.policy.linger_s, linger_fire)
+
+    def flush(self, core_index: int, reason: str) -> None:
+        """Ship one core's pending ops as a single coalesced frame."""
+        ops = self.pending[core_index]
+        if not ops:
+            return
+        self.pending[core_index] = []
+        self.open_id[core_index] += 1
+        run = self.run
+        # The whole batch rides one packet train: a down core, an
+        # injected drop, or a full MAC queue loses every op in it
+        # together.  Each op then retries down the serial path —
+        # coalescing is a fast path, not a reliability change.
+        if run.lost(core_index):
+            for request, state in ops:
+                run.timed_out(request, state, 0, run.ports[core_index])
+            return
+        results = run.results
+        results.batches += 1
+        results.batched_ops += len(ops)
+        results.batch_flush_reasons[reason] = (
+            results.batch_flush_reasons.get(reason, 0) + 1
+        )
+        self.flush_total[reason].inc()
+        self.ops_total.inc(len(ops))
+        self.size_histogram.record(float(len(ops)))
+        dispatched = run.sim.now
+        batch = (len(ops), reason)
+        riders = []
+        timing_ops = []
+        for request, state in ops:
+            state["attempts"] = 1
+            state["batch"] = batch
+            hit, response_len = run.serve_op(
+                core_index, request.key, request.verb, request.value_bytes
+            )
+            if run.fill_on_miss and request.verb == "GET" and not hit:
+                run.serve_op(core_index, request.key, "PUT", request.value_bytes)
+            served_bytes = (
+                response_len if request.verb == "GET" else request.value_bytes
+            )
+            if run.energy is not None:
+                # Every rider moves its own item and wire payload; only
+                # the per-request framing the batch coalesces away is
+                # saved (matching batch_timing's model).
+                run.charge_op(dispatched, request.verb, served_bytes)
+            riders.append((request, state, hit, response_len))
+            timing_ops.append((request.verb, served_bytes))
+        timing = run.system.model.batch_timing(timing_ops)
+        if run.slowed:
+            timing = run.adjust_timing(timing)
+
+        def complete(wait: float) -> None:
+            # The batch occupies the core once: its component seconds
+            # and all riders' served count charge on the first rider,
+            # while every rider gets its own RTT back to its arrival.
+            served = len(riders)
+            for request, state, hit, response_len in riders:
+                run.complete(
+                    request, state, core_index, "batch", hit, response_len,
+                    timing, None, dispatched, served, wait,
+                )
+                served = 0
+
+        run.cores[core_index].submit(timing.total_s, complete)
+
+
+class _TieredFlash:
+    """A SILT-style tiered store mirrored per core (flash stacks only):
+    functional outcomes stay the plain store's, the *cost* becomes the
+    tiers' measured flash work, and conversion/compaction land as
+    background busy time on the triggering core."""
+
+    def __init__(self, run: _RunState, config):
+        self.run = run
+        self.flash = run.system.stack.flash
+        registry = run.registry
+        # One tiered store per core, each seeded off (stack seed, core
+        # index) so runs are reproducible and cores differ.
+        self.stores = [
+            TieredFlashStore(
+                self.flash, config, seed=run.system.seed, label=label,
+                registry=registry,
+            )
+            for label in run.node_labels
+        ]
+        for task in ("conversion", "compaction"):
+            run.busy[task] = registry.histogram(
+                "background_busy_seconds", {"task": task}
+            )
+
+    def fluid_block(self) -> str:
+        return "flashstore"
+
+    def warm(self, core_index: int, request) -> None:
+        self.stores[core_index].put(
+            request.key, self.run.item_overhead + request.value_bytes
+        )
+
+    def start_metering(self) -> None:
+        # Warmup populated the tiers outside simulated time; meter only
+        # the measured run (registry counters start clean).
+        for store in self.stores:
+            store.reset_stats()
+            store.metered = True
+
+    def mirror(self, core_index: int, request, trace):
+        """Mirror one op against ``core_index``'s tiered store; returns
+        its measured cost."""
+        store = self.stores[core_index]
+        if request.verb == "GET":
+            cost = store.get(request.key)
+        else:
+            cost = store.put(request.key, self.run.item_overhead + request.value_bytes)
+        if cost.background:
+            self.charge(core_index, cost.background, trace)
+        return cost
+
+    def refill(self, core_index: int, request, trace) -> None:
+        """A cache-aside refill lands in the tiers too (free, like the
+        plain functional PUT), but any conversion it tips over is real
+        background flash work."""
+        cost = self.stores[core_index].put(
+            request.key, self.run.item_overhead + request.value_bytes
+        )
+        if cost.background:
+            self.charge(core_index, cost.background, trace)
+
+    def charge(self, core_index: int, works, trace) -> None:
+        """Charge conversion/compaction flash time to the core that
+        triggered it (the tier moves already happened functionally
+        inside the store)."""
+        run = self.run
+        for work in works:
+            if run.energy is not None:
+                # Tier moves hit the NAND array: every page the move
+                # read and rewrote, plus the rewritten pages' amortised
+                # share of block erases.
+                now = run.sim.now
+                run.energy.charge_flash_reads(now, float(work.pages_read))
+                run.energy.charge_flash_programs(now, float(work.pages_written))
+                run.energy.charge_flash_erases(
+                    now, work.pages_written / self.flash.pages_per_block
+                )
+            run.background(
+                core_index,
+                work.kind,
+                work.service_s,
+                spans=((work.kind, run.sim.now, work.service_s, trace),),
+            )
+
+    def finalize(self) -> None:
+        summary = aggregate_tiered_results(self.stores)
+        self.run.results.flashstore = summary
+        registry = self.run.registry
+        registry.gauge("flashstore_write_amplification").set(
+            summary["write_amplification"]
+        )
+        registry.gauge("flashstore_read_amplification").set(
+            summary["read_amplification"]
+        )
+        registry.gauge("flashstore_index_bytes_per_key").set(
+            summary["index_bytes_per_key"]
+        )
+
+
+class _FluidWindows:
+    """The fluid windows of one hybrid or fluid run (see
+    :meth:`FullSystemStack._run_segments`): when a window may open, which
+    cores it holds at DES fidelity, the window's per-request loop and
+    the per-step fold of its aggregates."""
+
+    def __init__(self, run: _RunState):
+        self.run = run
+        self.fidelity = fidelity = run.options.fidelity
+        self.hybrid = fidelity.mode == "hybrid"
+        self.active = run.registry.gauge("sim_fidelity_fluid_active")
+        self.fluid_windows = 0
+        self.fluid_seconds = 0.0
+        self.fluid_requests = 0
+        # ``key_core`` caches the client's key -> core lookup in fluid
+        # windows, a pure function of the key while the ring is intact —
+        # which every window-entry guard ensures.
+        self.key_core: dict[bytes, int] = {}
+        # A held core's MAC drops are client timeouts on its port; with
+        # failover armed, enough of them would re-route the held core's
+        # keys mid-window onto a folded core whose ops for the step
+        # already ran.  Such runs hold no core: any core past the guard
+        # keeps the whole stack in DES (``saturated``).
+        self.can_fail_over = (
+            run.policy is not None and run.policy.failover_after is not None
+        )
+        # The RTT/wait histograms hold exact samples only for the whole
+        # run (DES completions, and the folded cores' FIFO recursion in
+        # windows that hold a core): the calibrated completions of
+        # windows that hold none accumulate in ``deferred_counted`` and
+        # fold into the histograms exactly once, after the final segment
+        # — over the samples of *every* quiescent DES island
+        # (calibration prefix, the trailing run-end guard band).  A
+        # per-window fold would only see the islands before it; the
+        # end-of-run fold gives the tail buckets the whole run's DES
+        # evidence.
+        self.deferred_counted = 0
+        # Quiescent-DES samples: fluid windows model the system
+        # *between* perturbations, so the calibrated mass must scale the
+        # samples of quiescent islands — folding over fault-window
+        # samples would amplify fault-elevated tails into the
+        # fast-forwarded quiescent mass.  Each DES segment that overlaps
+        # no guarded fault adds its sample deltas to ``quiet``.
+        faults = run.options.faults
+        self.fault_spans = (
+            []
+            if faults is None
+            else [
+                (
+                    max(0.0, start - fidelity.guard_band_s),
+                    min(run.duration_s, end + fidelity.guard_band_s),
+                )
+                for start, end in fault_intervals(faults)
+            ]
+        )
+        self.quiet = (StreamingHistogram(), StreamingHistogram())
+        self.step_limit = fidelity.max_fluid_step_s
+        if run.timeseries is not None:
+            self.step_limit = min(self.step_limit, run.timeseries.interval_s)
+        if run.slo is not None:
+            self.step_limit = min(self.step_limit, run.slo.resolution_s)
+        diurnal = run.diurnal
+        self.diurnal_factor = diurnal.factor if diurnal is not None else None
+        from repro.workloads.generator import Request
+
+        self.request_type = Request
+
+    # --- when a window may open --------------------------------------------------
+
+    def overlaps_fault(self, start: float, end: float) -> bool:
+        return any(s < end and start < e for s, e in self.fault_spans)
+
+    def run_quiet_des(self, until: float) -> None:
+        """One quiescent DES segment, its samples added to ``quiet``."""
+        results = self.run.results
+        exact = (results.rtt_histogram, results.wait_histogram)
+        before = [(list(h.counts), h.total) for h in exact]
+        self.run.sim.run(until=until)
+        for dest, src, (counts, total) in zip(self.quiet, exact, before):
+            dest.record_bucketed(
+                {i: c - counts[i] for i, c in enumerate(src.counts)},
+                src.total - total,
+                src.min_seen,
+                src.max_seen,
+            )
+
+    def calibration(self) -> tuple[StreamingHistogram, StreamingHistogram]:
+        """The RTT and wait distributions of the quiescent DES islands,
+        or the whole exact distribution when those saw too few samples
+        to be a usable shape."""
+        if self.quiet[0].count < _MIN_CALIBRATION_SAMPLES:
+            results = self.run.results
+            return results.rtt_histogram, results.wait_histogram
+        return self.quiet
+
+    def tripwire(self, held: dict[int, float]) -> str | None:
+        """Hybrid-only signals that the system is *currently* in a
+        regime whose event-level dynamics matter."""
+        run = self.run
+        if run.down_cores:
+            return "cores_down"
+        # A held core's MAC drops are its exact DES queue overflowing —
+        # the regime it is held for.  Each costs one timeout and at most
+        # one failure; any loss beyond that is elsewhere.
+        results = run.results
+        held_drops = sum(run.drops_per_core[core] for core in held)
+        if held_drops < max(results.mac_drops, results.fault_timeouts, results.failed):
+            return "losses_observed"
+        if run.energy is not None and run.energy.derate_factor != 1.0:
+            return "thermal_throttle"
+        if run.slo is not None and run.slo.active_alerts:
+            return "slo_alert"
+        return None
+
+    def classify(self) -> tuple[str | None, dict[int, float]]:
+        """Why a fluid window may not open right now (None = go), and
+        the cores it must hold at DES fidelity."""
+        run = self.run
+        rtt_hist, wait_hist = run.results.rtt_histogram, run.results.wait_histogram
+        des_count = rtt_hist.count
+        if des_count < _MIN_CALIBRATION_SAMPLES:
+            return "calibration_too_thin", {}
+        # Peak-rate utilisation (the diurnal factor only ever lowers the
+        # rate, so this bounds it).
+        held = held_cores(
+            run.arrivals_per_core,
+            run.offered_rate_hz,
+            (rtt_hist.total - wait_hist.total) / des_count,
+            self.fidelity.max_utilization,
+            dropped={core for core, n in enumerate(run.drops_per_core) if n},
+        )
+        if held and (len(held) == len(run.cores) or self.can_fail_over):
+            return "saturated", held
+        if self.hybrid:
+            return self.tripwire(held), held
+        return None, held
+
+    # --- the window ----------------------------------------------------------------
+
+    def hold(self, t: float, key: bytes, size: int, is_get: bool) -> float:
+        """Hand one held core's request to the DES at its arrival time
+        ``t``; returns the next arrival time."""
+        run = self.run
+        request = self.request_type("GET" if is_get else "PUT", key, size)
+        run.sim.schedule_at(t, lambda: run.arrive(request))
+        if self.diurnal_factor is None:
+            return t + run.rng.expovariate(run.offered_rate_hz)
+        return t + run.rng.expovariate(run.offered_rate_hz * self.diurnal_factor(t))
+
+    def window(
+        self, seg_start: float, seg_end: float, held: dict[int, float]
+    ) -> tuple[str | None, float]:
+        """Fast-forward ``[seg_start, seg_end)`` with ``held`` cores at
+        DES fidelity; returns the tripwire reason if the window broke
+        early (None otherwise) and the simulated time actually covered
+        fluidly."""
+        run = self.run
+        sim = run.sim
+        duration_s = run.duration_s
+        self.fluid_windows += 1
+        self.active.set(1.0)
+        if run.arrival_event is not None:
+            sim.cancel(run.arrival_event)
+            run.arrival_event = None
+        nt = run.next_arrival
+
+        if held:
+            # The held cores' DES already costs a heap event per
+            # request, so the folded cores get exact latencies for a few
+            # float ops each: ``free_at[core]`` is when that core's FIFO
+            # server next idles, starting from the jobs its DES queue
+            # holds now, and each folded request starts at
+            # max(arrival, free_at).  Every arrival takes the branch
+            # below the cutoff test, which counts a completion iff it
+            # ends by ``duration_s``, as DES does.
+            free_at = [core.drained_at() for core in run.cores]
+            service_of: dict[int, float] = {}
+            threshold = -math.inf
+            fraction_below = None
+            # The key cache must not answer for held cores' keys:
+            # filtered once here (the copy stays the run's cache), a
+            # held core's key misses and takes the slow branch while a
+            # folded request still costs one hit.
+            self.key_core = {k: c for k, c in self.key_core.items() if c not in held}
+        else:
+            free_at = None
+            cal_rtt = self.calibration()[0]
+            fraction_below = cal_rtt.fraction_below
+            # Arrivals too close to the run's end would complete past
+            # ``duration_s`` in DES, where the conditional stats stop
+            # counting; mirror that cutoff at the calibrated mean RTT.
+            threshold = duration_s - cal_rtt.mean
+
+        # Hot-loop bindings.
+        key_core = self.key_core
+        serve_op = run.serve_op
+        model_timing = run.request_timing
+        node_for = run.client_ring.node_for
+        hold = self.hold
+        fill_on_miss = run.fill_on_miss
+        window_s = run.options.window_s
+        offered_rate_hz = run.offered_rate_hz
+        _expovariate = run.rng.expovariate
+        _next_raw = run.generator.next_raw
+        diurnal_factor = self.diurnal_factor
+
+        cursor = seg_start
+        broke: str | None = None
+        while cursor < seg_end - 1e-12:
+            step_end = min(seg_end, cursor + self.step_limit)
+            n_req = 0
+            hits = misses = puts = resp_bytes = 0
+            # Timing and energy are pure functions of (verb, served
+            # bytes), so the inner loop only *counts* occurrences per op
+            # shape — key ``served << 1 | is_get`` — and the step fold
+            # reads each distinct shape's timing and energy activity
+            # from the shared memo tables.
+            op_counts: dict[int, int] = {}
+            late_counts: dict[int, int] = {}
+            core_counts: dict[int, int] = {}
+            win_gets: dict[int, int] = {}
+            win_hits: dict[int, int] = {}
+            samples = None if free_at is None else ([], [])
+            if samples is not None:
+                step_rtts, step_waits = samples
+            _op_get = op_counts.get
+            _core_get = core_counts.get
+            _kc_get = key_core.get
+            while nt < step_end:
+                t = nt
+                key, size, is_get = _next_raw()
+                core = _kc_get(key)
+                if core is None:
+                    core = int(node_for(key)) - _BASE_TCP_PORT
+                    if core in held:
+                        nt = hold(t, key, size, is_get)
+                        continue
+                    key_core[key] = core
+                if is_get:
+                    hit, resp_len = serve_op(core, key, "GET", size)
+                    if hit:
+                        hits += 1
+                    else:
+                        misses += 1
+                        if fill_on_miss:
+                            serve_op(core, key, "PUT", size)
+                    served = resp_len
+                    if window_s is not None:
+                        widx = int(t / window_s)
+                        win_gets[widx] = win_gets.get(widx, 0) + 1
+                        if hit:
+                            win_hits[widx] = win_hits.get(widx, 0) + 1
+                else:
+                    puts += 1
+                    _hit, resp_len = serve_op(core, key, "PUT", size)
+                    served = size
+                resp_bytes += resp_len
+                op = served << 1 | is_get
+                op_counts[op] = _op_get(op, 0) + 1
+                if t <= threshold:
+                    core_counts[core] = _core_get(core, 0) + 1
+                elif free_at is None:
+                    late_counts[op] = late_counts.get(op, 0) + 1
+                else:
+                    service = service_of.get(op)
+                    if service is None:
+                        service = service_of[op] = model_timing(
+                            "GET" if is_get else "PUT", served
+                        ).total_s
+                    start = free_at[core]
+                    if start < t:
+                        start = t
+                    end = free_at[core] = start + service
+                    if end <= duration_s:
+                        core_counts[core] = _core_get(core, 0) + 1
+                        step_rtts.append(end - t)
+                        step_waits.append(start - t)
+                    else:
+                        late_counts[op] = late_counts.get(op, 0) + 1
+                n_req += 1
+                if diurnal_factor is None:
+                    nt = t + _expovariate(offered_rate_hz)
+                else:
+                    nt = t + _expovariate(offered_rate_hz * diurnal_factor(t))
+
+            self.fold_step(
+                cursor, step_end, n_req, hits, misses, puts, resp_bytes,
+                op_counts, late_counts, core_counts, win_gets, win_hits,
+                samples, fraction_below,
+            )
+            # Let the DES heap run housekeeping (timeseries/SLO/energy
+            # ticks) up to the step boundary against the freshened
+            # counters.
+            sim.run(until=step_end)
+            cursor = step_end
+            if self.hybrid and cursor < seg_end - 1e-12:
+                broke = self.tripwire(held)
+                if broke is not None:
+                    break
+
+        if free_at is not None:
+            # Hand each folded core's backlog to its DES queue, so
+            # requests after the window wait behind it as they would in
+            # DES.  (A core whose pre-window DES jobs outlast the window
+            # keeps only those: rare at rho below the guard.)
+            for core, until in enumerate(free_at):
+                if core not in held and until > sim.now and not run.cores[core].busy:
+                    run.cores[core].occupy_until(until)
+        run.next_arrival = nt
+        run.arrival_event = sim.schedule_at(nt, run.arrive)
+        self.active.set(0.0)
+        return broke, cursor
+
+    def fold_step(
+        self, cursor, step_end, n_req, hits, misses, puts, resp_bytes,
+        op_counts, late_counts, core_counts, win_gets, win_hits,
+        samples, fraction_below,
+    ) -> None:
+        """Fold one fluid step's tallies into the results, the registry,
+        the SLO monitor and the energy meter.  ``samples`` holds the
+        step's exact (RTTs, waits) when the window holds a core (None
+        when its latency is calibrated)."""
+        run = self.run
+        results = run.results
+        energy = run.energy
+        model_timing = run.request_timing
+        op_activity = run.system._op_activity
+        counted_n = n_req - sum(late_counts.values())
+        busy_s = 0.0
+        comp_hash = comp_mc = comp_net = 0.0
+        mem_bytes = wire_bytes = 0.0
+        fl_reads = fl_programs = fl_erases = 0.0
+        for op, n in op_counts.items():
+            served = op >> 1
+            verb = "GET" if op & 1 else "PUT"
+            timing = model_timing(verb, served)
+            busy_s += n * timing.total_s
+            n_counted = n - late_counts.get(op, 0)
+            if n_counted:
+                comp_hash += n_counted * timing.hash_s
+                comp_mc += n_counted * timing.memcached_s
+                comp_net += n_counted * timing.network_s
+            if energy is not None:
+                mb, wb, fr, fp, fe = op_activity(verb, served)
+                mem_bytes += n * mb
+                wire_bytes += n * wb
+                fl_reads += n * fr
+                fl_programs += n * fp
+                fl_erases += n * fe
+
+        if hits:
+            results.get_hits += hits
+            run.hits_total.inc(hits)
+        if misses:
+            results.get_misses += misses
+            run.misses_total.inc(misses)
+        if puts:
+            results.puts += puts
+            run.puts_total.inc(puts)
+        if resp_bytes:
+            results.response_bytes += resp_bytes
+            run.response_bytes_total.inc(resp_bytes)
+        if results.window_s is not None:
+            for widx, n in win_gets.items():
+                results.window_gets.observe_index(widx, float(n))
+            for widx, n in win_hits.items():
+                results.window_hits.observe_index(widx, float(n))
+        if counted_n:
+            results.completed += counted_n
+            run.completed_total.inc(counted_n)
+            results.component_seconds["hash"] += comp_hash
+            results.component_seconds["memcached"] += comp_mc
+            results.component_seconds["network"] += comp_net
+            for core, n in core_counts.items():
+                results.per_core_served[core] = results.per_core_served.get(core, 0) + n
+                run.served_per_core[core].inc(n)
+            if samples is None:
+                self.deferred_counted += counted_n
+                step_fraction = fraction_below
+            else:
+                step_rtts, step_waits = samples
+                results.rtt_histogram.record_many(step_rtts)
+                results.wait_histogram.record_many(step_waits)
+
+                def step_fraction(deadline_s: float) -> float:
+                    # The step's exact share within the deadline, judged
+                    # per request as the DES SLO does.
+                    return sum(1 for rtt in step_rtts if rtt <= deadline_s) / counted_n
+
+            if run.slo is not None:
+                run.slo.record_bulk(
+                    cursor + (step_end - cursor) / 2.0, counted_n, step_fraction
+                )
+        if energy is not None and n_req:
+            energy.charge_core_busy_bulk(cursor, step_end, busy_s)
+            energy.charge_memory_bytes_bulk(cursor, step_end, mem_bytes)
+            energy.charge_nic_bytes_bulk(cursor, step_end, wire_bytes)
+            if fl_reads or fl_programs or fl_erases:
+                energy.charge_flash_bulk(
+                    cursor, step_end, fl_reads, fl_programs, fl_erases
+                )
+        self.fluid_requests += n_req
+        self.fluid_seconds += step_end - cursor
+
+    def fold_deferred(self) -> None:
+        """The end-of-run fold: distribute every calibrated fluid
+        completion over the quiescent DES latency/wait distributions
+        (largest-remainder, so totals are exact and the folded shape
+        tracks the observed one as closely as integers allow)."""
+        deferred = self.deferred_counted
+        if not deferred:
+            return
+        results = self.run.results
+        cal_rtt, cal_wait = self.calibration()
+        for hist, cal in (
+            (results.rtt_histogram, cal_rtt),
+            (results.wait_histogram, cal_wait),
+        ):
+            hist.record_bucketed(
+                allocate_proportional(cal.counts, deferred),
+                deferred * cal.mean,
+                hist.min_seen,
+                hist.max_seen,
+            )

@@ -12,6 +12,18 @@ The simulation also *validates* the paper's linear-scaling methodology
 (§5.3): with per-core request streams and no shared locks, measured
 throughput of an n-core stack is n times the single-core value until the
 offered load approaches saturation.
+
+Why this model stays beside :class:`~repro.sim.full_system.FullSystemStack`:
+it is the storeless queueing reference, and the full-system run cannot
+reproduce it.  It routes each request to a uniformly random core
+(``rng.randrange``) where the full system routes by key through the
+client ring; it takes any service-time callable where the full system
+charges the latency model's time for the request's actual verb, size and
+hit; and it excludes warm-up requests from the samples.
+``analysis/validation.py`` needs exactly that to compare measured
+latency against closed-form M/G/1, and ``tests/test_sim_request_sim.py``
+and ``tests/test_integration_scaling.py`` use it as the queueing
+reference.
 """
 
 from __future__ import annotations
