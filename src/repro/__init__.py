@@ -54,7 +54,7 @@ from repro.sim import FullSystemStack
 from repro.telemetry import MetricsRegistry, StreamingHistogram, TelemetrySession
 from repro.workloads import REQUEST_SIZE_SWEEP
 
-__version__ = "1.0.0"
+__version__ = "1.1.0"
 
 __all__ = [
     "CalibrationConstants",

@@ -13,9 +13,10 @@ not need event-level replay.
 from the same RNG stream and executed functionally against the same
 stores (so hit/miss outcomes, store contents, and the RNG state at the
 next DES window are bit-identical to a pure-DES run), but the per-request
-event machinery — connection byte parsing, FIFO core queues, histogram
-updates, tracing — is replaced by calibrated aggregates folded into the
-same accounting (:class:`~repro.sim.full_system.FullSystemResults`,
+event machinery — heap events, FIFO core queues, tracing — is replaced by
+each core's FIFO recursion (a few float ops per request, giving exactly
+the RTT and wait its DES queue would) and by per-step aggregates folded
+into the same accounting (:class:`~repro.sim.full_system.FullSystemResults`,
 ``WindowedSeries`` timelines, the ``EnergyMeter`` ledger).
 
 Modes
@@ -43,14 +44,13 @@ decided per core.  Each fluid window first picks its *held* cores
 ``max_utilization``, and any core that already overflowed its MAC
 buffer.  A held core's requests are dispatched into the DES at their
 arrival times, so its queue, drops and tail stay exact, while every
-other core is folded — with its FIFO delays computed per request, which
-the held core's DES cost already dwarfs, so the whole window's latency
-stays exact too.  Only when every core is held, or when the
-client may fail a held core's port over mid-window (its keys would move
-onto a folded core), does the window stay DES (fallback reason
-``saturated``).  Under memcached's default 0.99 key skew the hottest
-key pins one core past the guard at realistic rates; that one core no
-longer takes the whole stack back to DES.
+other core is folded — with its FIFO delays computed per request, so
+the whole window's latency stays exact too.  Only when every core is
+held, or when the client may fail a held core's port over mid-window
+(its keys would move onto a folded core), does the window stay DES
+(fallback reason ``saturated``).  Under memcached's default 0.99 key
+skew the hottest key pins one core past the guard at realistic rates;
+that one core no longer takes the whole stack back to DES.
 Structural features whose event-level interleaving *is* the phenomenon
 under study (replication quorums, batching, the tiered flashstore,
 request hedging, causal tracing) disable fast-forward for the whole run
@@ -106,8 +106,8 @@ class FidelityPolicy:
     """When and how aggressively a run may fast-forward.
 
     ``guard_band_s`` widens every fault-derived DES island on both
-    sides; ``calibration_s`` is the DES prefix used to calibrate the
-    latency surrogate and per-core load split; fluid candidates shorter
+    sides; ``calibration_s`` is the DES prefix that measures the mean
+    service time and per-core load split; fluid candidates shorter
     than ``min_fluid_window_s`` stay DES (not worth the mode switch);
     fluid windows advance in steps of at most ``max_fluid_step_s`` so
     housekeeping ticks (timeseries, SLO, energy, faults) observe fresh
@@ -176,8 +176,7 @@ def plan_segments(
     if policy.guard_band_s > 0:
         # The run end is a boundary too: requests arriving within the
         # last guard band may or may not complete before the clock runs
-        # out, and only DES can decide which — a trailing island keeps
-        # the completed count exact instead of threshold-approximated.
+        # out; a trailing island keeps that boundary in DES.
         islands.append((max(0.0, duration_s - policy.guard_band_s), duration_s))
     if faults is not None:
         for start, end in fault_intervals(faults):
@@ -248,43 +247,6 @@ def held_cores(
         if rho > max_utilization or core in dropped:
             held[core] = rho
     return held
-
-
-def allocate_proportional(weights: list[int], n: int) -> dict[int, int]:
-    """Split ``n`` items across indexes proportionally to ``weights``.
-
-    Largest-remainder (Hamilton) apportionment: every index gets the
-    floor of its exact share, then the leftover items go to the largest
-    fractional remainders (ties broken by lower index), so the result is
-    deterministic, sums to exactly ``n``, and tracks the weight
-    distribution as closely as integers allow.  This is how a fluid
-    window folds a batch of completions into the calibration segment's
-    latency-bucket distribution.
-    """
-    if n < 0:
-        raise ConfigurationError("cannot allocate a negative count")
-    total = sum(weights)
-    if n == 0 or total <= 0:
-        return {}
-    scale = n / total
-    alloc: dict[int, int] = {}
-    remainders: list[tuple[float, int]] = []
-    assigned = 0
-    for index, weight in enumerate(weights):
-        if weight <= 0:
-            continue
-        exact = weight * scale
-        base = int(exact)
-        if base:
-            alloc[index] = base
-            assigned += base
-        remainders.append((exact - base, index))
-    leftover = n - assigned
-    if leftover:
-        remainders.sort(key=lambda pair: (-pair[0], pair[1]))
-        for _, index in remainders[:leftover]:
-            alloc[index] = alloc.get(index, 0) + 1
-    return alloc
 
 
 def fault_intervals(faults: FaultSchedule) -> list[tuple[float, float]]:

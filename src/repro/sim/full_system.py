@@ -47,12 +47,7 @@ from repro.replication.antientropy import AntiEntropySweeper
 from repro.replication.handoff import HintQueue
 from repro.replication.placement import ReplicaPlacement
 from repro.sim.events import Simulator
-from repro.sim.fidelity import (
-    allocate_proportional,
-    fault_intervals,
-    held_cores,
-    plan_segments,
-)
+from repro.sim.fidelity import held_cores, plan_segments
 from repro.sim.resources import FifoResource
 from repro.sim.rng import make_rng
 from repro.sim.run_options import RunOptions
@@ -77,9 +72,9 @@ if TYPE_CHECKING:  # pragma: no cover
 
 _BASE_TCP_PORT = 11211
 
-#: Completed DES requests a fluid fast-forward window needs before its
-#: calibration surrogate (latency distribution, per-core load split) is
-#: trusted; thinner calibration keeps the window at full DES.
+#: Completed DES requests a fluid fast-forward window needs before the
+#: mean service time and per-core load split that pick its held cores
+#: are trusted; thinner calibration keeps the window at full DES.
 _MIN_CALIBRATION_SAMPLES = 32
 
 
@@ -620,10 +615,10 @@ class FullSystemStack:
         requests execute *functionally* against the same stores —
         keeping store contents, hit/miss outcomes, and the RNG cursor
         exact — while the energy accounting is folded in batches.  Their
-        latency is folded too: calibrated from the quiescent DES islands
-        when no core is held, and, when one is, computed per request by
-        each folded core's own FIFO recursion, which gives exactly the
-        waits its DES queue would.  The windows themselves are
+        latency is computed per request by each folded core's own FIFO
+        recursion, seeded from the jobs its DES queue holds at window
+        entry, so every fluid window's RTTs and waits are exactly the
+        ones its DES queue would produce.  The windows themselves are
         :class:`_FluidWindows`.
         """
         fidelity = run.options.fidelity
@@ -641,10 +636,7 @@ class FullSystemStack:
         ):
             if seg_kind == "des":
                 des_seconds += seg_end - seg_start
-                if windows.overlaps_fault(seg_start, seg_end):
-                    sim.run(until=seg_end)
-                else:
-                    windows.run_quiet_des(seg_end)
+                sim.run(until=seg_end)
                 continue
             reason, held = windows.classify()
             if reason in (None, "saturated"):
@@ -662,7 +654,6 @@ class FullSystemStack:
                 des_seconds += seg_end - reached
                 sim.run(until=seg_end)
         sim.run()  # drain completions past the horizon
-        windows.fold_deferred()
 
         registry = run.registry
         registry.counter("sim_fidelity_fluid_windows_total").inc(
@@ -944,7 +935,7 @@ class _RunState:
     def _build_features(self) -> None:
         """Validate the feature combination and build each enabled
         feature object (``None`` when off)."""
-        options, registry = self.options, self.registry
+        options = self.options
         cores = self.system.stack.cores
         replication = options.replication
         if replication is not None and replication.n > cores:
@@ -980,16 +971,6 @@ class _RunState:
                 )
             self.flash = _TieredFlash(self, options.flashstore)
         self.batching = _Batching(self, options.batching) if batched else None
-        # Replication housekeeping's busy time, registered on every run so
-        # the metric layout does not depend on the features: windowed
-        # into the time-series recorder like any other metric, so a
-        # run's timeline shows the fault -> hint replay -> anti-entropy
-        # -> recovery sequence.
-        for task in ("hint_replay", "antientropy", "read_repair", "verify_read"):
-            self.busy[task] = registry.histogram(
-                "background_busy_seconds", {"task": task}
-            )
-        self.replica_put_wait = registry.histogram("replica_put_wait_seconds")
         self.replication = (
             _Replication(self, replication) if replicated else None
         )
@@ -1289,7 +1270,9 @@ class _RunState:
             port = self.ports[core_index]
             if self.replication is not None:
                 self.replication.verify(request, state, port)
-            if self.hedge_after_s is not None:
+            if self.hedge_after_s is not None and via is None:
+                # Only the request's own attempt arms the timer, so a
+                # GET is hedged at most once, as ResilientClient does.
                 sim.schedule(
                     self.hedge_after_s, lambda: self.hedge(request, state, port)
                 )
@@ -1315,7 +1298,7 @@ class _RunState:
         results = self.results
         if via == "replica":
             self.consecutive_timeouts[self.ports[core_index]] = 0
-            self.replica_put_wait.record(wait)
+            self.replication.put_wait.record(wait)
         elif state["done"]:
             # A hedged twin already answered: the losing branch is
             # causally linked but outside the trace, so the RTT
@@ -1500,7 +1483,7 @@ class _RunState:
     # --- the client's resilience ------------------------------------------------
 
     def hedge(self, request, state, port: str) -> None:
-        """Fire a hedged twin of an unanswered GET at the next node."""
+        """Fire the hedged twin of an unanswered GET at the next node."""
         if state["done"]:
             return
         if self.replication is not None:
@@ -1656,6 +1639,14 @@ class _Replication:
         self.run = run
         self.config = config
         registry = run.registry
+        # Housekeeping's busy time, windowed into the time-series
+        # recorder like any other metric, so a run's timeline shows the
+        # fault -> hint replay -> anti-entropy -> recovery sequence.
+        for task in ("hint_replay", "antientropy", "read_repair", "verify_read"):
+            run.busy[task] = registry.histogram(
+                "background_busy_seconds", {"task": task}
+            )
+        self.put_wait = registry.histogram("replica_put_wait_seconds")
         # Each core is its own failure domain here — the whole run is
         # one physical stack — so placement skips by node; the
         # rack/stack-aware rule matters in the multi-stack client.
@@ -2182,36 +2173,6 @@ class _FluidWindows:
         self.can_fail_over = (
             run.policy is not None and run.policy.failover_after is not None
         )
-        # The RTT/wait histograms hold exact samples only for the whole
-        # run (DES completions, and the folded cores' FIFO recursion in
-        # windows that hold a core): the calibrated completions of
-        # windows that hold none accumulate in ``deferred_counted`` and
-        # fold into the histograms exactly once, after the final segment
-        # — over the samples of *every* quiescent DES island
-        # (calibration prefix, the trailing run-end guard band).  A
-        # per-window fold would only see the islands before it; the
-        # end-of-run fold gives the tail buckets the whole run's DES
-        # evidence.
-        self.deferred_counted = 0
-        # Quiescent-DES samples: fluid windows model the system
-        # *between* perturbations, so the calibrated mass must scale the
-        # samples of quiescent islands — folding over fault-window
-        # samples would amplify fault-elevated tails into the
-        # fast-forwarded quiescent mass.  Each DES segment that overlaps
-        # no guarded fault adds its sample deltas to ``quiet``.
-        faults = run.options.faults
-        self.fault_spans = (
-            []
-            if faults is None
-            else [
-                (
-                    max(0.0, start - fidelity.guard_band_s),
-                    min(run.duration_s, end + fidelity.guard_band_s),
-                )
-                for start, end in fault_intervals(faults)
-            ]
-        )
-        self.quiet = (StreamingHistogram(), StreamingHistogram())
         self.step_limit = fidelity.max_fluid_step_s
         if run.timeseries is not None:
             self.step_limit = min(self.step_limit, run.timeseries.interval_s)
@@ -2224,32 +2185,6 @@ class _FluidWindows:
         self.request_type = Request
 
     # --- when a window may open --------------------------------------------------
-
-    def overlaps_fault(self, start: float, end: float) -> bool:
-        return any(s < end and start < e for s, e in self.fault_spans)
-
-    def run_quiet_des(self, until: float) -> None:
-        """One quiescent DES segment, its samples added to ``quiet``."""
-        results = self.run.results
-        exact = (results.rtt_histogram, results.wait_histogram)
-        before = [(list(h.counts), h.total) for h in exact]
-        self.run.sim.run(until=until)
-        for dest, src, (counts, total) in zip(self.quiet, exact, before):
-            dest.record_bucketed(
-                {i: c - counts[i] for i, c in enumerate(src.counts)},
-                src.total - total,
-                src.min_seen,
-                src.max_seen,
-            )
-
-    def calibration(self) -> tuple[StreamingHistogram, StreamingHistogram]:
-        """The RTT and wait distributions of the quiescent DES islands,
-        or the whole exact distribution when those saw too few samples
-        to be a usable shape."""
-        if self.quiet[0].count < _MIN_CALIBRATION_SAMPLES:
-            results = self.run.results
-            return results.rtt_histogram, results.wait_histogram
-        return self.quiet
 
     def tripwire(self, held: dict[int, float]) -> str | None:
         """Hybrid-only signals that the system is *currently* in a
@@ -2321,33 +2256,19 @@ class _FluidWindows:
             sim.cancel(run.arrival_event)
             run.arrival_event = None
         nt = run.next_arrival
-
+        # Every folded request gets its exact DES latency for a few
+        # float ops: ``free_at[core]`` is when that core's FIFO server
+        # next idles, starting from the jobs its DES queue holds now,
+        # and each request starts at max(arrival, free_at).  It counts
+        # as a completion iff it ends by ``duration_s``, as in DES.
+        free_at = [core.drained_at() for core in run.cores]
+        service_of: dict[int, float] = {}
         if held:
-            # The held cores' DES already costs a heap event per
-            # request, so the folded cores get exact latencies for a few
-            # float ops each: ``free_at[core]`` is when that core's FIFO
-            # server next idles, starting from the jobs its DES queue
-            # holds now, and each folded request starts at
-            # max(arrival, free_at).  Every arrival takes the branch
-            # below the cutoff test, which counts a completion iff it
-            # ends by ``duration_s``, as DES does.
-            free_at = [core.drained_at() for core in run.cores]
-            service_of: dict[int, float] = {}
-            threshold = -math.inf
-            fraction_below = None
             # The key cache must not answer for held cores' keys:
             # filtered once here (the copy stays the run's cache), a
             # held core's key misses and takes the slow branch while a
             # folded request still costs one hit.
             self.key_core = {k: c for k, c in self.key_core.items() if c not in held}
-        else:
-            free_at = None
-            cal_rtt = self.calibration()[0]
-            fraction_below = cal_rtt.fraction_below
-            # Arrivals too close to the run's end would complete past
-            # ``duration_s`` in DES, where the conditional stats stop
-            # counting; mirror that cutoff at the calibrated mean RTT.
-            threshold = duration_s - cal_rtt.mean
 
         # Hot-loop bindings.
         key_core = self.key_core
@@ -2361,6 +2282,7 @@ class _FluidWindows:
         _expovariate = run.rng.expovariate
         _next_raw = run.generator.next_raw
         diurnal_factor = self.diurnal_factor
+        _service_get = service_of.get
 
         cursor = seg_start
         broke: str | None = None
@@ -2372,16 +2294,21 @@ class _FluidWindows:
             # bytes), so the inner loop only *counts* occurrences per op
             # shape — key ``served << 1 | is_get`` — and the step fold
             # reads each distinct shape's timing and energy activity
-            # from the shared memo tables.
-            op_counts: dict[int, int] = {}
+            # from the shared memo tables.  A request is counted by how
+            # it ends: on an idle core (wait 0 and RTT its shape's
+            # service time, so the count is all the histograms need),
+            # behind a queue (its exact RTT and wait kept as samples),
+            # or past the run's end (not a completion).
+            idle_counts: dict[int, int] = {}
+            queued_counts: dict[int, int] = {}
             late_counts: dict[int, int] = {}
             core_counts: dict[int, int] = {}
             win_gets: dict[int, int] = {}
             win_hits: dict[int, int] = {}
-            samples = None if free_at is None else ([], [])
-            if samples is not None:
-                step_rtts, step_waits = samples
-            _op_get = op_counts.get
+            step_rtts: list[float] = []
+            step_waits: list[float] = []
+            _idle_get = idle_counts.get
+            _queued_get = queued_counts.get
             _core_get = core_counts.get
             _kc_get = key_core.get
             while nt < step_end:
@@ -2414,27 +2341,25 @@ class _FluidWindows:
                     served = size
                 resp_bytes += resp_len
                 op = served << 1 | is_get
-                op_counts[op] = _op_get(op, 0) + 1
-                if t <= threshold:
-                    core_counts[core] = _core_get(core, 0) + 1
-                elif free_at is None:
+                service = _service_get(op)
+                if service is None:
+                    service = service_of[op] = model_timing(
+                        "GET" if is_get else "PUT", served
+                    ).total_s
+                start = free_at[core]
+                if start < t:
+                    start = t
+                end = free_at[core] = start + service
+                if end > duration_s:
                     late_counts[op] = late_counts.get(op, 0) + 1
+                elif start == t:
+                    idle_counts[op] = _idle_get(op, 0) + 1
+                    core_counts[core] = _core_get(core, 0) + 1
                 else:
-                    service = service_of.get(op)
-                    if service is None:
-                        service = service_of[op] = model_timing(
-                            "GET" if is_get else "PUT", served
-                        ).total_s
-                    start = free_at[core]
-                    if start < t:
-                        start = t
-                    end = free_at[core] = start + service
-                    if end <= duration_s:
-                        core_counts[core] = _core_get(core, 0) + 1
-                        step_rtts.append(end - t)
-                        step_waits.append(start - t)
-                    else:
-                        late_counts[op] = late_counts.get(op, 0) + 1
+                    queued_counts[op] = _queued_get(op, 0) + 1
+                    core_counts[core] = _core_get(core, 0) + 1
+                    step_rtts.append(end - t)
+                    step_waits.append(start - t)
                 n_req += 1
                 if diurnal_factor is None:
                     nt = t + _expovariate(offered_rate_hz)
@@ -2443,8 +2368,8 @@ class _FluidWindows:
 
             self.fold_step(
                 cursor, step_end, n_req, hits, misses, puts, resp_bytes,
-                op_counts, late_counts, core_counts, win_gets, win_hits,
-                samples, fraction_below,
+                idle_counts, queued_counts, late_counts, core_counts,
+                win_gets, win_hits, step_rtts, step_waits, service_of,
             )
             # Let the DES heap run housekeeping (timeseries/SLO/energy
             # ticks) up to the step boundary against the freshened
@@ -2456,14 +2381,13 @@ class _FluidWindows:
                 if broke is not None:
                     break
 
-        if free_at is not None:
-            # Hand each folded core's backlog to its DES queue, so
-            # requests after the window wait behind it as they would in
-            # DES.  (A core whose pre-window DES jobs outlast the window
-            # keeps only those: rare at rho below the guard.)
-            for core, until in enumerate(free_at):
-                if core not in held and until > sim.now and not run.cores[core].busy:
-                    run.cores[core].occupy_until(until)
+        # Hand each folded core's backlog to its DES queue, so requests
+        # after the window wait behind it as they would in DES.  (A core
+        # whose pre-window DES jobs outlast the window keeps only those:
+        # rare at rho below the guard.)
+        for core, until in enumerate(free_at):
+            if core not in held and until > sim.now and not run.cores[core].busy:
+                run.cores[core].occupy_until(until)
         run.next_arrival = nt
         run.arrival_event = sim.schedule_at(nt, run.arrive)
         self.active.set(0.0)
@@ -2471,13 +2395,14 @@ class _FluidWindows:
 
     def fold_step(
         self, cursor, step_end, n_req, hits, misses, puts, resp_bytes,
-        op_counts, late_counts, core_counts, win_gets, win_hits,
-        samples, fraction_below,
+        idle_counts, queued_counts, late_counts, core_counts, win_gets,
+        win_hits, step_rtts, step_waits, service_of,
     ) -> None:
         """Fold one fluid step's tallies into the results, the registry,
-        the SLO monitor and the energy meter.  ``samples`` holds the
-        step's exact (RTTs, waits) when the window holds a core (None
-        when its latency is calibrated)."""
+        the SLO monitor and the energy meter.  The step's completions
+        are the per-shape ``idle_counts`` (wait 0, RTT the shape's
+        ``service_of`` time) plus the queued requests' exact
+        ``step_rtts``/``step_waits``."""
         run = self.run
         results = run.results
         energy = run.energy
@@ -2488,12 +2413,13 @@ class _FluidWindows:
         comp_hash = comp_mc = comp_net = 0.0
         mem_bytes = wire_bytes = 0.0
         fl_reads = fl_programs = fl_erases = 0.0
-        for op, n in op_counts.items():
+        for op in {**idle_counts, **queued_counts, **late_counts}:
             served = op >> 1
             verb = "GET" if op & 1 else "PUT"
             timing = model_timing(verb, served)
+            n_counted = idle_counts.get(op, 0) + queued_counts.get(op, 0)
+            n = n_counted + late_counts.get(op, 0)
             busy_s += n * timing.total_s
-            n_counted = n - late_counts.get(op, 0)
             if n_counted:
                 comp_hash += n_counted * timing.hash_s
                 comp_mc += n_counted * timing.memcached_s
@@ -2532,20 +2458,36 @@ class _FluidWindows:
             for core, n in core_counts.items():
                 results.per_core_served[core] = results.per_core_served.get(core, 0) + n
                 run.served_per_core[core].inc(n)
-            if samples is None:
-                self.deferred_counted += counted_n
-                step_fraction = fraction_below
-            else:
-                step_rtts, step_waits = samples
-                results.rtt_histogram.record_many(step_rtts)
-                results.wait_histogram.record_many(step_waits)
+            if idle_counts:
+                rtt_hist = results.rtt_histogram
+                buckets: dict[int, int] = {}
+                idle_total = 0.0
+                for op, n in idle_counts.items():
+                    index = rtt_hist.bucket_index(service_of[op])
+                    buckets[index] = buckets.get(index, 0) + n
+                    idle_total += n * service_of[op]
+                services = [service_of[op] for op in idle_counts]
+                rtt_hist.record_bucketed(
+                    buckets, idle_total, min(services), max(services)
+                )
+                results.wait_histogram.record_bucketed(
+                    {0: sum(idle_counts.values())}, 0.0, 0.0, 0.0
+                )
+            results.rtt_histogram.record_many(step_rtts)
+            results.wait_histogram.record_many(step_waits)
+
+            if run.slo is not None:
 
                 def step_fraction(deadline_s: float) -> float:
                     # The step's exact share within the deadline, judged
                     # per request as the DES SLO does.
-                    return sum(1 for rtt in step_rtts if rtt <= deadline_s) / counted_n
+                    within = sum(
+                        n for op, n in idle_counts.items()
+                        if service_of[op] <= deadline_s
+                    )
+                    within += sum(1 for rtt in step_rtts if rtt <= deadline_s)
+                    return within / counted_n
 
-            if run.slo is not None:
                 run.slo.record_bulk(
                     cursor + (step_end - cursor) / 2.0, counted_n, step_fraction
                 )
@@ -2559,24 +2501,3 @@ class _FluidWindows:
                 )
         self.fluid_requests += n_req
         self.fluid_seconds += step_end - cursor
-
-    def fold_deferred(self) -> None:
-        """The end-of-run fold: distribute every calibrated fluid
-        completion over the quiescent DES latency/wait distributions
-        (largest-remainder, so totals are exact and the folded shape
-        tracks the observed one as closely as integers allow)."""
-        deferred = self.deferred_counted
-        if not deferred:
-            return
-        results = self.run.results
-        cal_rtt, cal_wait = self.calibration()
-        for hist, cal in (
-            (results.rtt_histogram, cal_rtt),
-            (results.wait_histogram, cal_wait),
-        ):
-            hist.record_bucketed(
-                allocate_proportional(cal.counts, deferred),
-                deferred * cal.mean,
-                hist.min_seen,
-                hist.max_seen,
-            )

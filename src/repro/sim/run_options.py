@@ -176,8 +176,8 @@ class RunOptions:
         if self.fidelity is not None:
             # Conditional like the rest: fidelity-free runs keep their
             # historical cache keys, and fidelity IS part of the key —
-            # hybrid results are within-tolerance, not bit-identical, so
-            # they must never alias a full-DES cell.
+            # a hybrid cell's provenance and bulk energy/SLO folds are
+            # not a full-DES cell's, so the two must never alias.
             payload["fidelity"] = self.fidelity.to_dict()
         return payload
 

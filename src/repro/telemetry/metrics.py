@@ -119,7 +119,8 @@ class StreamingHistogram:
 
     # --- recording ---------------------------------------------------------------
 
-    def _index(self, value: float) -> int:
+    def bucket_index(self, value: float) -> int:
+        """The bucket ``value`` lands in (see :meth:`record_bucketed`)."""
         if value <= self.min_value:
             return 0
         index = int(math.log10(value / self.min_value) * self.buckets_per_decade)
@@ -128,7 +129,7 @@ class StreamingHistogram:
     def record(self, value: float, exemplar: object | None = None) -> None:
         if value < 0:
             raise ConfigurationError("histogram values must be non-negative")
-        index = self._index(value)
+        index = self.bucket_index(value)
         self.counts[index] += 1
         self.count += 1
         self.total += value
@@ -175,10 +176,11 @@ class StreamingHistogram:
         ``bucket_counts`` maps bucket index → sample count on *this*
         histogram's bucket grid; ``total`` is the batch's exact value
         sum and ``min_seen``/``max_seen`` its extremes.  This is the
-        batched hot path for the fluid fast-forward windows: folding a
-        calibration-derived distribution for a million requests costs
-        one call per bucket, not one per request, and percentile reads
-        land on the same bucket edges as sample-at-a-time recording.
+        batched hot path for the fluid fast-forward windows: requests
+        that find their core idle have one RTT per op shape (its service
+        time) and a zero wait, so a step folds them in one call per
+        shape's bucket, not one per request, and percentile reads land
+        on the same bucket edges as sample-at-a-time recording.
         """
         counts = self.counts
         top = len(counts) - 1
@@ -205,7 +207,7 @@ class StreamingHistogram:
 
     def exemplar_for(self, value: float) -> object | None:
         """The exemplar stored in the bucket ``value`` would land in."""
-        return self.exemplars.get(self._index(value))
+        return self.exemplars.get(self.bucket_index(value))
 
     def exemplars_above(self, threshold: float) -> list[object]:
         """Exemplars from every bucket that can hold values above

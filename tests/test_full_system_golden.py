@@ -313,3 +313,45 @@ def test_cells_exercise_their_feature(golden):
     assert diurnal["fidelity"]["sim_fidelity_fluid_windows_total"] >= 1
     assert diurnal["energy"] is not None
     assert results["thermal-throttle"]["energy"]["throttle_windows"] > 0
+
+
+@pytest.mark.parametrize("name", ["fluid", "hybrid-diurnal", "hybrid-held-core"])
+def test_fluid_cells_equal_their_des_run(name):
+    """Fluid windows run each core's exact FIFO recursion, so a cell
+    that fast-forwards equals the same cell at full DES in its
+    completions and its latency histograms, bucket for bucket."""
+    stack, memory, workload, options = _cell(name)
+    runs = [
+        FullSystemStack(stack=stack, memory_per_core_bytes=memory, seed=1).run(
+            workload, dataclasses.replace(options, fidelity=fidelity)
+        )
+        for fidelity in (options.fidelity, None)
+    ]
+    folded, des = runs
+    assert folded.fidelity["sim_fidelity_fluid_windows_total"] >= 1
+    assert folded.completed == des.completed
+    assert folded.rtt_histogram.counts == des.rtt_histogram.counts
+    assert folded.wait_histogram.counts == des.wait_histogram.counts
+
+
+def test_each_get_is_hedged_at_most_once(monkeypatch):
+    """A hedged twin arms no hedge of its own: like ResilientClient, the
+    DES hedges a request once, however long it stays unanswered."""
+    from repro.sim import full_system
+
+    twins: dict[int, list] = {}
+    serve = full_system._RunState.serve
+
+    def counting_serve(self, request, state, core_index, via=None):
+        if via == "hedge":
+            # The state dict rides along so its id is not reused.
+            twins.setdefault(id(state), [state, 0])[1] += 1
+        return serve(self, request, state, core_index, via)
+
+    monkeypatch.setattr(full_system._RunState, "serve", counting_serve)
+    stack, memory, workload, options = _cell("hedging-degraded")
+    results = FullSystemStack(
+        stack=stack, memory_per_core_bytes=memory, seed=1
+    ).run(workload, options)
+    assert results.hedges == len(twins) > 0
+    assert max(count for _, count in twins.values()) == 1

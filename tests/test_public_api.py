@@ -15,7 +15,7 @@ from repro import (
 
 class TestTopLevelExports:
     def test_version(self):
-        assert repro.__version__ == "1.0.0"
+        assert repro.__version__ == "1.1.0"
 
     def test_all_exports_resolve(self):
         for name in repro.__all__:

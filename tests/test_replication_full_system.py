@@ -187,6 +187,40 @@ class TestReplicationTelemetry:
         assert "replication_hints_replayed_total" in names
         assert "replication_redirected_reads_total" in names
 
+    @pytest.mark.parametrize("replication", [None, N3])
+    def test_replication_histograms_register_only_on_replicated_runs(
+        self, replication
+    ):
+        session = TelemetrySession()
+        FullSystemStack(
+            stack=mercury_stack(cores=CORES),
+            memory_per_core_bytes=8 * MB,
+            seed=42,
+        ).run(
+            WorkloadSpec(
+                name="replication-registry",
+                get_fraction=0.9,
+                key_population=1_000,
+                value_sizes=fixed_size(64),
+            ),
+            RunOptions(
+                offered_rate_hz=5_000.0,
+                duration_s=0.02,
+                warmup_requests=500,
+                replication=replication,
+                telemetry=session,
+            ),
+        )
+        series = [
+            ("background_busy_seconds", {"task": task})
+            for task in ("hint_replay", "antientropy", "read_repair", "verify_read")
+        ] + [("replica_put_wait_seconds", None)]
+        registered = [
+            session.registry.get(name, labels) is not None
+            for name, labels in series
+        ]
+        assert registered == [replication is not None] * len(series)
+
     def test_invalid_replication_config_rejected(self):
         from repro.errors import ConfigurationError
 
